@@ -164,33 +164,19 @@ def _seed_from_args(args) -> SeedPair | None:
 
 
 def _rule_spec_from_args(args) -> qam.RuleSpec:
+    names = qam.rule_entry(args.rule).indices
     indices = _int_list(args.indices) if args.indices else ()
-    fields: dict = {"rule": args.rule}
-    if args.rule in ("green", "yellow"):
-        if len(indices) != 2:
-            raise InputError(f"{args.rule} rule needs --indices u,v")
-        fields.update(u=indices[0], v=indices[1])
-    elif args.rule == "blue":
-        if len(indices) != 3:
-            raise InputError("blue rule needs --indices u,v,w")
-        fields.update(u=indices[0], v=indices[1], w=indices[2])
-    elif args.rule == "cyan":
-        if len(indices) != 4:
-            raise InputError("cyan rule needs --indices u,t,v,w")
-        fields.update(u=indices[0], t=indices[1], v=indices[2], w=indices[3])
-    elif args.rule == "orange":
-        if len(indices) != 2:
-            raise InputError("orange rule needs --indices u,v")
-        fields.update(u=indices[0], v=indices[1])
-    else:
-        raise InputError(f"unknown rule {args.rule!r}")
-    fields.update(
+    if len(indices) != len(names):
+        raise InputError(f"{args.rule} rule needs --indices {','.join(names)}")
+    return qam.RuleSpec(
+        rule=args.rule,
+        **dict(zip(names, indices)),
         ell=args.ell if args.ell is not None else (args.m or 1),
         sign_a=args.sign,
         sign_b=args.sign_b,
         z=args.z,
+        k=_float_list(args.k) if args.k else (),
     )
-    return qam.RuleSpec(**fields)
 
 
 def _params_from_args(args) -> EncoderParams:
@@ -291,6 +277,8 @@ def _gaps(seq: ComplexSequence) -> list[dict]:
 
 
 def cmd_enumerate(args) -> int:
+    if args.N < 1:
+        raise InputError(f"--N must be at least 1, got {args.N}")
     n_class = "N=1" if args.N == 1 else "N>1"
     count = qam.count_sequences(args.rule, args.s, args.m, n_class)
     report = {
@@ -307,7 +295,7 @@ def cmd_enumerate(args) -> int:
         "length": args.N * 2**args.m,
     }
     if args.dedup:
-        if args.rule == "total":
+        if args.rule not in qam.RULES:
             raise InputError("--dedup applies to a single rule")
         if args.N != 1:
             raise InputError("--dedup runs on the length-1 seed family only")
@@ -356,13 +344,9 @@ def _codebook_from_args(args) -> np.ndarray:
             raise InputError("--rule codebooks need --m and --s")
         if args.m > _SIM_MAX_VARS:
             raise GuardError(f"simulation limited to m <= {_SIM_MAX_VARS}")
-        seen: set[bytes] = set()
         words: list[np.ndarray] = []
-        for _, values in qam.enumerate_rule(args.rule, args.s, args.m):
-            key = qam.sequence_key(values)
-            if key not in seen:
-                seen.add(key)
-                words.append(values)
+        for values in qam.distinct_values(args.rule, args.s, args.m):
+            words.append(values)
             if len(words) > MAX_CODEBOOK:
                 raise GuardError(f"codebook exceeds {MAX_CODEBOOK} sequences")
         return np.asarray(words, dtype=complex)
@@ -465,13 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except qam.EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except CodebookLimitError as exc:
+    except (GuardError, qam.EnumerationLimitError, CodebookLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (InputError, ValueError) as exc:

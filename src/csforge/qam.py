@@ -26,7 +26,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,11 +47,13 @@ __all__ = [
     "QamGeometry",
     "RULES",
     "RuleCount",
+    "RuleEntry",
     "RuleSpec",
     "blue_params",
     "count_sequences",
     "cyan_params",
     "distinct_sequences",
+    "distinct_values",
     "enumerate_rule",
     "enumeration_size",
     "green_params",
@@ -60,13 +62,12 @@ __all__ = [
     "lattice_points",
     "on_lattice",
     "orange_params",
+    "rule_entry",
     "rule_params",
     "sequence_key",
     "to_lattice",
     "yellow_params",
 ]
-
-RULES = ("green", "yellow", "blue", "cyan", "orange")
 
 RULE_MODULUS = 4  # all five rules live on quaternary phases
 
@@ -194,55 +195,52 @@ def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     _check_range(s, "v", v)
     pi, k, seed = _common(s, m, pi, k, seed)
     g = lattice_geometry(u, v)
-    return EncoderParams(
-        m=m,
-        H=RULE_MODULUS,
-        pi=pi,
-        e=(0.0,) * m,
-        e_prime=_SCALE * math.log(g.gamma),
-        k=k,
-        k_prime=z - _SCALE * g.phi,
-        k_dprime=z - _SCALE * g.phi,
-        d=(0,) * m,
-        seed=seed,
+    const = z - _SCALE * g.phi
+    return EncoderParams.basic(
+        m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=k,
+        k_prime=const, k_dprime=const, seed=seed,
     )
 
 
-def _converted(rp: RecursionParams, extra_const: float) -> EncoderParams:
-    params = recursion_to_encoder(rp)
-    return params.replace(
-        k_prime=params.k_prime + extra_const,
-        k_dprime=params.k_dprime + extra_const,
-    )
-
-
-def yellow_params(s, u, v, ell, m, pi=None, k=None, k_prime=0, seed=None) -> EncoderParams:
-    """Two diagonal radii: the halves are scaled independently at step ell."""
-    _check_range(s, "u", u)
-    _check_range(s, "v", v)
-    if u == v:
-        raise ValueError("yellow rule needs two different diagonal radii (u != v)")
+def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
+    """Scale and rotate each half at step ell; half_x is (scale, phase)."""
     if not 1 <= ell <= m:
         raise ValueError(f"ell={ell} out of range 1..{m}")
     pi, k, seed = _common(s, m, pi, k, seed)
-    scale_a = [0.0] * m
-    scale_b = [0.0] * m
-    scale_a[ell - 1] = _SCALE * math.log(lattice_geometry(u, u).gamma)
-    scale_b[ell - 1] = _SCALE * math.log(lattice_geometry(v, v).gamma)
+
+    def at_ell(value):
+        steps = [0.0] * m
+        steps[ell - 1] = value
+        return tuple(steps)
+
     rp = RecursionParams.neutral(
         m,
         RULE_MODULUS,
         psi=tuple(m - p for p in pi),
         seed=seed,
-        scale_a=tuple(scale_a),
-        scale_b=tuple(scale_b),
+        scale_a=at_ell(half_a[0]),
+        scale_b=at_ell(half_b[0]),
+        phase_a=at_ell(half_a[1]),
+        phase_b=at_ell(half_b[1]),
         phase_joint=k,
     )
-    return _converted(rp, k_prime)
+    params = recursion_to_encoder(rp)
+    return params.replace(k_prime=params.k_prime + z, k_dprime=params.k_dprime + z)
+
+
+def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
+    """Two diagonal radii: the halves are scaled independently at step ell."""
+    _check_range(s, "u", u)
+    _check_range(s, "v", v)
+    if u == v:
+        raise ValueError("yellow rule needs two different diagonal radii (u != v)")
+    first = _SCALE * math.log(lattice_geometry(u, u).gamma)
+    second = _SCALE * math.log(lattice_geometry(v, v).gamma)
+    return _two_halves(s, ell, m, pi, k, z, seed, (first, 0.0), (second, 0.0))
 
 
 def blue_params(
-    s, u, v, w, ell, m, pi=None, k=None, z=0, sign=1, rotate_b_half=True, seed=None
+    s, u, v, w, ell, m, pi=None, k=None, z=0, sign_a=1, rotate_b_half=True, seed=None
 ) -> EncoderParams:
     """One diagonal radius and one off-diagonal point: rotate a single half."""
     _check_range(s, "u", u)
@@ -250,39 +248,14 @@ def blue_params(
     _check_range(s, "w", w)
     if v <= w:
         raise ValueError("blue rule needs an off-diagonal pair with v > w")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 1 <= ell <= m:
-        raise ValueError(f"ell={ell} out of range 1..{m}")
-    pi, k, seed = _common(s, m, pi, k, seed)
-    diag = _SCALE * math.log(lattice_geometry(u, u).gamma)
+    if sign_a not in (1, -1):
+        raise ValueError("sign_a must be +1 or -1")
+    diag = (_SCALE * math.log(lattice_geometry(u, u).gamma), 0.0)
     off = lattice_geometry(v, w)
-    off_scale = _SCALE * math.log(off.gamma)
-    rot = sign * _SCALE * off.phi
-    scale_a = [0.0] * m
-    scale_b = [0.0] * m
-    phase_a = [0.0] * m
-    phase_b = [0.0] * m
+    rotated = (_SCALE * math.log(off.gamma), sign_a * _SCALE * off.phi)
     if rotate_b_half:
-        scale_a[ell - 1] = diag
-        scale_b[ell - 1] = off_scale
-        phase_b[ell - 1] = rot
-    else:
-        scale_a[ell - 1] = off_scale
-        scale_b[ell - 1] = diag
-        phase_a[ell - 1] = rot
-    rp = RecursionParams.neutral(
-        m,
-        RULE_MODULUS,
-        psi=tuple(m - p for p in pi),
-        seed=seed,
-        scale_a=tuple(scale_a),
-        scale_b=tuple(scale_b),
-        phase_a=tuple(phase_a),
-        phase_b=tuple(phase_b),
-        phase_joint=k,
-    )
-    return _converted(rp, z)
+        return _two_halves(s, ell, m, pi, k, z, seed, diag, rotated)
+    return _two_halves(s, ell, m, pi, k, z, seed, rotated, diag)
 
 
 def cyan_params(
@@ -297,61 +270,124 @@ def cyan_params(
         raise ValueError("cyan rule needs two different off-diagonal points")
     if sign_a not in (1, -1) or sign_b not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    if not 1 <= ell <= m:
-        raise ValueError(f"ell={ell} out of range 1..{m}")
-    pi, k, seed = _common(s, m, pi, k, seed)
     first = lattice_geometry(u, t)
     second = lattice_geometry(v, w)
-    scale_a = [0.0] * m
-    scale_b = [0.0] * m
-    phase_a = [0.0] * m
-    phase_b = [0.0] * m
-    scale_a[ell - 1] = _SCALE * math.log(first.gamma)
-    scale_b[ell - 1] = _SCALE * math.log(second.gamma)
-    phase_a[ell - 1] = sign_a * _SCALE * first.phi
-    phase_b[ell - 1] = sign_b * _SCALE * second.phi
-    rp = RecursionParams.neutral(
-        m,
-        RULE_MODULUS,
-        psi=tuple(m - p for p in pi),
-        seed=seed,
-        scale_a=tuple(scale_a),
-        scale_b=tuple(scale_b),
-        phase_a=tuple(phase_a),
-        phase_b=tuple(phase_b),
-        phase_joint=k,
+    return _two_halves(
+        s, ell, m, pi, k, z, seed,
+        (_SCALE * math.log(first.gamma), sign_a * _SCALE * first.phi),
+        (_SCALE * math.log(second.gamma), sign_b * _SCALE * second.phi),
     )
-    return _converted(rp, z)
 
 
-def orange_params(
-    s, u, v, ell, m, pi=None, k=None, z_ell=0, z_prime=0, sign=1, seed=None
-) -> EncoderParams:
-    """One off-diagonal radius; the halves sit at mirror angles."""
+def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) -> EncoderParams:
+    """One off-diagonal radius; the halves sit at mirror angles.
+
+    The step phase k[ell-1] is the quadrant offset of the mirror rotation.
+    """
     _check_range(s, "u", u)
     _check_range(s, "v", v)
     if u <= v:
         raise ValueError("orange rule needs u > v")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if sign_a not in (1, -1):
+        raise ValueError("sign_a must be +1 or -1")
     if not 1 <= ell <= m:
         raise ValueError(f"ell={ell} out of range 1..{m}")
     pi, k, seed = _common(s, m, pi, k, seed)
     g = lattice_geometry(u, v)
     phases = list(k)
-    phases[ell - 1] = z_ell - sign * _SCALE * g.mu
-    return EncoderParams(
-        m=m,
-        H=RULE_MODULUS,
-        pi=pi,
-        e=(0.0,) * m,
-        e_prime=_SCALE * math.log(g.gamma),
-        k=tuple(phases),
-        k_prime=z_prime + sign * _SCALE * g.phi,
-        k_dprime=z_prime + sign * _SCALE * g.phi,
-        d=(0,) * m,
-        seed=seed,
+    phases[ell - 1] -= sign_a * _SCALE * g.mu
+    const = z + sign_a * _SCALE * g.phi
+    return EncoderParams.basic(
+        m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=phases,
+        k_prime=const, k_dprime=const, seed=seed,
     )
+
+
+# -- the rule table ----------------------------------------------------------
+
+
+class RuleEntry(NamedTuple):
+    """Everything the package knows about one rule, in one record."""
+
+    builder: str  # name of the *_params function in this module
+    indices: tuple[str, ...]  # lattice indices, in ``--indices`` order
+    knobs: tuple[str, ...]  # the other RuleSpec fields the builder reads
+    choices: Callable[[int], list[dict]]  # admissible indices and signs at s
+    units: Callable[[int, int, int], int]  # family size in G0/A0 units at (s, m, span)
+    phase_last: bool = False  # the walk varies step phase k[ell-1] last
+
+    @property
+    def has_ell(self) -> bool:
+        return "ell" in self.knobs
+
+    @property
+    def build(self) -> Callable[..., EncoderParams]:
+        # looked up in this module on each access, so a wrapper bound here
+        # (a profiler, a test double) sees the calls
+        return globals()[self.builder]
+
+
+def _grid(s):
+    return [(a, b) for a in range(1, s + 1) for b in range(1, s + 1)]
+
+
+def _offdiag(s):
+    return [(a, b) for a in range(1, s + 1) for b in range(1, a)]  # a > b
+
+
+_SIGNS = (1, -1)
+
+_RULE_TABLE = {
+    "green": RuleEntry(
+        "green_params", ("u", "v"), ("z",),
+        lambda s: [dict(u=u, v=v) for u, v in _grid(s)],
+        lambda s, m, span: s**2,
+    ),
+    "yellow": RuleEntry(
+        "yellow_params", ("u", "v"), ("ell", "z"),
+        lambda s: [dict(u=u, v=v) for u, v in _grid(s) if u != v],
+        lambda s, m, span: s * (s - 1) * span,
+    ),
+    "blue": RuleEntry(
+        "blue_params", ("u", "v", "w"), ("ell", "z", "sign_a", "rotate_b_half"),
+        lambda s: [
+            dict(u=u, v=v, w=w, rotate_b_half=half, sign_a=sign)
+            for u in range(1, s + 1)
+            for v, w in _offdiag(s)
+            for half in (True, False)
+            for sign in _SIGNS
+        ],
+        lambda s, m, span: 2 * s**2 * (s - 1) * span,
+    ),
+    "cyan": RuleEntry(
+        "cyan_params", ("u", "t", "v", "w"), ("ell", "z", "sign_a", "sign_b"),
+        lambda s: [
+            dict(u=u, t=t, v=v, w=w, sign_a=sa, sign_b=sb)
+            for u, t in _offdiag(s)
+            for v, w in _offdiag(s)
+            if (u, t) != (v, w)
+            for sa in _SIGNS
+            for sb in _SIGNS
+        ],
+        lambda s, m, span: (s + 1) * s * (s - 1) * (s - 2) * span,
+    ),
+    "orange": RuleEntry(
+        "orange_params", ("u", "v"), ("ell", "z", "sign_a"),
+        lambda s: [dict(u=u, v=v, sign_a=sign) for u, v in _offdiag(s) for sign in _SIGNS],
+        lambda s, m, span: s * (s - 1) * m,
+        phase_last=True,
+    ),
+}
+
+RULES = tuple(_RULE_TABLE)
+
+
+def rule_entry(rule: str) -> RuleEntry:
+    """The table record of one rule; ValueError for an unknown name."""
+    try:
+        return _RULE_TABLE[rule]
+    except KeyError:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}") from None
 
 
 @dataclass(frozen=True)
@@ -368,33 +404,14 @@ class RuleSpec:
     sign_b: int = 1
     rotate_b_half: bool = True
     z: int = 0
-    z_ell: int = 0
     k: tuple = ()
-    k_prime: float = 0.0
 
 
 def rule_params(spec: RuleSpec, s: int, m: int, pi=None, seed=None) -> EncoderParams:
     """Build encoder parameters from a rule spec (modulus fixed at 4)."""
-    k = spec.k if spec.k else None
-    if spec.rule == "green":
-        return green_params(s, spec.u, spec.v, m, pi, k, spec.z, seed)
-    if spec.rule == "yellow":
-        return yellow_params(s, spec.u, spec.v, spec.ell, m, pi, k, spec.k_prime, seed)
-    if spec.rule == "blue":
-        return blue_params(
-            s, spec.u, spec.v, spec.w, spec.ell, m, pi, k, spec.z,
-            spec.sign_a, spec.rotate_b_half, seed,
-        )
-    if spec.rule == "cyan":
-        return cyan_params(
-            s, spec.u, spec.t, spec.v, spec.w, spec.ell, m, pi, k, spec.z,
-            spec.sign_a, spec.sign_b, seed,
-        )
-    if spec.rule == "orange":
-        return orange_params(
-            s, spec.u, spec.v, spec.ell, m, pi, k, spec.z_ell, spec.z, spec.sign_a, seed
-        )
-    raise ValueError(f"unknown rule {spec.rule!r}; expected one of {RULES}")
+    entry = rule_entry(spec.rule)
+    knobs = {name: getattr(spec, name) for name in entry.indices + entry.knobs}
+    return entry.build(s=s, m=m, pi=pi, k=spec.k or None, seed=seed, **knobs)
 
 
 # -- family counting ---------------------------------------------------------
@@ -431,20 +448,10 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
     single = n_class == "N=1"
     unit, unit_count = _unit_value(m, n_class)
     span = (m + 1) if single else m
-    if rule == "green":
-        units = s**2
-    elif rule == "yellow":
-        units = s * (s - 1) * span
-    elif rule == "blue":
-        units = 2 * s**2 * (s - 1) * span
-    elif rule == "cyan":
-        units = (s + 1) * s * (s - 1) * (s - 2) * span
-    elif rule == "orange":
-        units = s * (s - 1) * m
-    elif rule == "total":
+    if rule == "total":
         units = (s**4 - s**2) * span + (s if single else s**2)
     else:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES + ('total',)}")
+        units = rule_entry(rule).units(s, m, span)
     return RuleCount(rule, s, m, n_class, unit, units, units * unit_count)
 
 
@@ -463,49 +470,16 @@ def _enum_guard(guard: int | None) -> int:
     return int(os.environ.get(ENUM_GUARD_ENV, DEFAULT_ENUM_GUARD))
 
 
-def _index_combos(rule: str, s: int) -> list[dict]:
-    offdiag = [(a, b) for a in range(1, s + 1) for b in range(1, a)]  # a > b
-    if rule == "green":
-        return [dict(u=u, v=v) for u in range(1, s + 1) for v in range(1, s + 1)]
-    if rule == "yellow":
-        return [
-            dict(u=u, v=v)
-            for u in range(1, s + 1)
-            for v in range(1, s + 1)
-            if u != v
-        ]
-    if rule == "blue":
-        return [
-            dict(u=u, v=v, w=w, rotate_b_half=half, sign=sign)
-            for u in range(1, s + 1)
-            for (v, w) in offdiag
-            for half in (True, False)
-            for sign in (1, -1)
-        ]
-    if rule == "cyan":
-        return [
-            dict(u=u, t=t, v=v, w=w, sign_a=sa, sign_b=sb)
-            for (u, t) in offdiag
-            for (v, w) in offdiag
-            if (u, t) != (v, w)
-            for sa in (1, -1)
-            for sb in (1, -1)
-        ]
-    if rule == "orange":
-        return [dict(u=u, v=v, sign=sign) for (u, v) in offdiag for sign in (1, -1)]
-    raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-
-
 def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
-    """Raw combination count the exhaustive walk would visit."""
+    """Raw combination count the exhaustive walk would visit.
+
+    Per admissible choice: every step choice (rules without one have a
+    single), every order, 4^m step phases and one free constant.
+    """
+    entry = rule_entry(rule)
     n_pis = n_pis if n_pis is not None else math.factorial(m)
-    n_ells = n_ells if n_ells is not None else m
-    combos = len(_index_combos(rule, s))
-    if rule == "green":
-        return combos * n_pis * 4 ** (m + 1)
-    # others: per combo, every step choice, every order, 4^m step phases
-    # (orange: 4^(m-1) plus its own quadrant pair) and one free constant
-    return combos * n_ells * n_pis * 4 ** (m + 1)
+    n_ells = (n_ells if n_ells is not None else m) if entry.has_ell else 1
+    return len(entry.choices(s)) * n_ells * n_pis * 4 ** (m + 1)
 
 
 def enumerate_rule(
@@ -523,6 +497,7 @@ def enumerate_rule(
     the raw combination count exceeds the guard (default 1e7, overridable
     via the CS_FORGE_MAX_ENUM environment variable).
     """
+    entry = rule_entry(rule)
     pis = [tuple(p) for p in pis] if pis is not None else list(
         itertools.permutations(range(1, m + 1))
     )
@@ -535,48 +510,31 @@ def enumerate_rule(
         )
     seed = seed if seed is not None else known_seed(1)
 
-    has_ell = rule != "green"
-    for combo in _index_combos(rule, s):
-        for ell in ells if has_ell else [None]:
+    build = entry.build
+    steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
+    for choice in entry.choices(s):
+        for step in steps:
+            fixed = dict(choice, **step, s=s, m=m, seed=seed)
             for pi in pis:
-                if rule == "orange":
-                    for rest in itertools.product(range(4), repeat=m - 1):
-                        for z_ell in range(4):
-                            for z_prime in range(4):
-                                k = list(rest)
-                                k.insert(ell - 1, 0)
-                                params = orange_params(
-                                    s, combo["u"], combo["v"], ell, m, pi, tuple(k),
-                                    z_ell, z_prime, combo["sign"], seed,
-                                )
-                                yield params, encode_pair(params).c.values
-                    continue
                 for k in itertools.product(range(4), repeat=m):
-                    for const in range(4):
-                        if rule == "green":
-                            params = green_params(
-                                s, combo["u"], combo["v"], m, pi, k, const, seed
-                            )
-                        elif rule == "yellow":
-                            params = yellow_params(
-                                s, combo["u"], combo["v"], ell, m, pi, k, const, seed
-                            )
-                        elif rule == "blue":
-                            params = blue_params(
-                                s, combo["u"], combo["v"], combo["w"], ell, m, pi, k,
-                                const, combo["sign"], combo["rotate_b_half"], seed,
-                            )
-                        else:
-                            params = cyan_params(
-                                s, combo["u"], combo["t"], combo["v"], combo["w"], ell,
-                                m, pi, k, const, combo["sign_a"], combo["sign_b"], seed,
-                            )
+                    if entry.phase_last:
+                        ell = step["ell"]
+                        k = k[: ell - 1] + k[-1:] + k[ell - 1 : -1]
+                    for z in range(4):
+                        params = build(pi=pi, k=k, z=z, **fixed)
                         yield params, encode_pair(params).c.values
+
+
+def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
+    """First outputs of the walk, each distinct sequence once, in walk order."""
+    seen: set[bytes] = set()
+    for _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
+        key = sequence_key(values)
+        if key not in seen:
+            seen.add(key)
+            yield values
 
 
 def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:
     """Number of distinct first outputs over the full enumeration."""
-    seen: set[bytes] = set()
-    for _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
-        seen.add(sequence_key(values))
-    return len(seen)
+    return sum(1 for _ in distinct_values(rule, s, m, pis, ells, seed, guard))

@@ -90,6 +90,8 @@ def min_distance_sim(
     Only the first 2^floor(log2(M)) words carry bits, so the bit map is a
     bijection.  Given the same seed and arguments the report is identical.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     words = _prepare_codebook(codebook)
     bits = int(math.floor(math.log2(len(words))))
     used = words[: 1 << bits]

@@ -182,7 +182,7 @@ def test_criterion_07_alphabet_closure():
     covered = []
     for rule in qam.RULES:
         for s in (2, 4):
-            combos = qam._index_combos(rule, s)
+            combos = qam.rule_entry(rule).choices(s)
             if not combos:
                 continue  # no admissible indices (cyan needs two distinct points)
             for _ in range(100):
@@ -198,9 +198,7 @@ def test_criterion_07_alphabet_closure():
                     sign_b=combo.get("sign_b", 1),
                     rotate_b_half=combo.get("rotate_b_half", True),
                     z=int(rng.integers(4)),
-                    z_ell=int(rng.integers(4)),
                     k=tuple(int(x) for x in rng.integers(0, 4, m)),
-                    k_prime=int(rng.integers(4)),
                 )
                 pi = tuple(int(x) for x in rng.permutation(np.arange(1, m + 1)))
                 values = encode_pair(qam.rule_params(spec, s, m, pi=pi)).c.values

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from csforge import cli
 from csforge.qam import on_lattice
@@ -60,6 +61,30 @@ def test_encode_rule_output_on_lattice(capsys):
     assert code == 0
     records = json.loads(out)
     assert on_lattice(values_of(records[0]), 4)
+
+
+RULE_INDICES = {"green": "1,2", "yellow": "1,2", "blue": "1,2,1", "cyan": "2,1,4,2", "orange": "2,1"}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_INDICES))
+def test_encode_rule_knobs_reach_the_builder(capsys, rule):
+    def encode(*extra):
+        code, out, _ = run_cli(
+            capsys, "encode", "--rule", rule, "--s", "4", "--m", "3",
+            "--indices", RULE_INDICES[rule], *extra,
+        )
+        assert code == 0
+        return json.loads(out)[0]
+
+    base = encode()
+    for z in (1, 2, 3):
+        shifted = encode("--z", str(z))["params"]
+        for name in ("k_prime", "k_dprime"):  # phases are kept in [0, H), H = 4
+            offset = math.remainder(shifted[name] - base["params"][name] - z, 4)
+            assert abs(offset) < 1e-12
+    stepped = encode("--k", "1,2,3")
+    assert stepped["params"]["k"] != base["params"]["k"]
+    assert not np.allclose(values_of(stepped), values_of(base))
 
 
 def test_encode_validation_failure(tmp_path, capsys):
@@ -143,6 +168,14 @@ def test_enumerate_total_and_multiseed(capsys):
     assert report["length"] == 3 * 4
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_enumerate_rejects_seed_length_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "enumerate", "--s", "2", "--m", "2", "--N", n)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--N" in err
+
+
 def test_enumerate_dedup(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup")
     assert code == 0
@@ -218,6 +251,17 @@ def test_simulate_rule_codebook(capsys, monkeypatch):
     assert report["codebook_size"] == 64
     assert report["bits_per_word"] == 6
     assert report["ber"] == [0.0]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_rejects_trials_below_one(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", "green", "--s", "1", "--m", "1",
+        "--ebn0", "inf", "--trials", trials,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "trials" in err
 
 
 def test_missing_inputs_exit_2(capsys):

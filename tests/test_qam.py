@@ -130,7 +130,7 @@ def test_rule_index_constraints():
 def test_rule_outputs_stay_on_lattice_and_complementary(rule):
     rng = np.random.default_rng(qam.RULES.index(rule))
     for s in (2, 4):
-        combos = qam._index_combos(rule, s)
+        combos = qam.rule_entry(rule).choices(s)
         if not combos:
             continue
         for _ in range(12):
@@ -150,9 +150,7 @@ def test_rule_outputs_stay_on_lattice_and_complementary(rule):
                 sign_b=combo.get("sign_b", 1),
                 rotate_b_half=combo.get("rotate_b_half", True),
                 z=int(rng.integers(4)),
-                z_ell=int(rng.integers(4)),
                 k=k,
-                k_prime=int(rng.integers(4)),
             )
             params = rule_params(spec, s, m, pi=pi)
             res = encode_pair(params)
@@ -209,6 +207,14 @@ def test_enumeration_guard(monkeypatch):
         list(enumerate_rule("green", 1, 2))
     monkeypatch.setenv(qam.ENUM_GUARD_ENV, "1000")
     assert distinct_sequences("green", 1, 2) == 64
+
+
+@pytest.mark.parametrize(
+    "rule, s, m",
+    [("green", 2, 2), ("yellow", 2, 2), ("blue", 2, 2), ("cyan", 3, 1), ("orange", 2, 2)],
+)
+def test_guard_formula_matches_walk(rule, s, m):
+    assert len(list(enumerate_rule(rule, s, m))) == qam.enumeration_size(rule, s, m)
 
 
 def test_enumeration_is_deterministic():
