@@ -24,11 +24,9 @@ from .encoder import (
     EncoderParams,
     RecursionParams,
     SeedPair,
-    UnitExpElement,
     component_functions,
     encode_pair,
     known_seed,
-    order_select,
     recursion_to_encoder,
     run_recursion,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "RuleSpec",
     "SeedPair",
     "SimReport",
-    "UnitExpElement",
     "apac",
     "bits_to_index",
     "component_functions",
@@ -82,7 +79,6 @@ __all__ = [
     "min_distance_sim",
     "on_lattice",
     "operator_config",
-    "order_select",
     "pairwise_error_rate",
     "papr_bound_db",
     "papr_oversampled_db",

@@ -40,17 +40,11 @@ def index_to_bits(x: int, m: int) -> tuple[int, ...]:
 
 
 class BooleanPolynomial:
-    """Immutable real-coefficient multilinear polynomial in m binary variables.
+    """Immutable real-coefficient multilinear polynomial in m binary variables."""
 
-    With ``modulus=None`` evaluation returns plain reals; with a positive even
-    modulus H the value is reduced into [0, H).  Coefficients are stored
-    unreduced so integer phase steps and irrational amplitude exponents can
-    coexist in one object.
-    """
+    __slots__ = ("m", "coeffs")
 
-    __slots__ = ("m", "modulus", "coeffs")
-
-    def __init__(self, m: int, coeffs: Mapping[int, float], modulus: float | None = None):
+    def __init__(self, m: int, coeffs: Mapping[int, float]):
         if m < 1:
             raise ValueError("need at least one variable")
         limit = 1 << m
@@ -62,7 +56,6 @@ class BooleanPolynomial:
             if c != 0.0:
                 clean[int(mask)] = c
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "modulus", None if modulus is None else float(modulus))
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -71,18 +64,18 @@ class BooleanPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, m: int, value: float, modulus: float | None = None) -> "BooleanPolynomial":
-        return cls(m, {0: value}, modulus)
+    def constant(cls, m: int, value: float) -> "BooleanPolynomial":
+        return cls(m, {0: value})
 
     @classmethod
-    def variable(cls, m: int, j: int, modulus: float | None = None) -> "BooleanPolynomial":
+    def variable(cls, m: int, j: int) -> "BooleanPolynomial":
         """The coordinate function x_j, 1-indexed."""
         if not 1 <= j <= m:
             raise ValueError(f"variable index {j} out of range for m={m}")
-        return cls(m, {1 << (m - j): 1.0}, modulus)
+        return cls(m, {1 << (m - j): 1.0})
 
     @classmethod
-    def from_table(cls, values, modulus: float | None = None) -> "BooleanPolynomial":
+    def from_table(cls, values) -> "BooleanPolynomial":
         """Interpolate the unique multilinear polynomial matching a value table.
 
         Uses the subset Moebius transform, which is exact for integer tables.
@@ -97,12 +90,12 @@ class BooleanPolynomial:
             for mask in range(n):
                 if mask & bit:
                     vals[mask] -= vals[mask ^ bit]
-        return cls(m, {k: v for k, v in enumerate(vals) if v != 0.0}, modulus)
+        return cls(m, {k: v for k, v in enumerate(vals) if v != 0.0})
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, bits: Iterable[int]) -> float:
-        """Value at one point of {0,1}^m, reduced mod H when a modulus is set."""
+        """Value at one point of {0,1}^m."""
         bits = tuple(bits)
         if len(bits) != self.m:
             raise ValueError(f"expected {self.m} bits, got {len(bits)}")
@@ -111,8 +104,6 @@ class BooleanPolynomial:
         for mask, c in self.coeffs.items():
             if (x & mask) == mask:
                 val += c
-        if self.modulus is not None:
-            val %= self.modulus
         return val
 
     def table(self) -> np.ndarray:
@@ -121,39 +112,29 @@ class BooleanPolynomial:
         out = np.zeros(1 << self.m)
         for mask, c in self.coeffs.items():
             out[(idx & mask) == mask] += c
-        if self.modulus is not None:
-            out %= self.modulus
         return out
 
     def is_boolean_valued(self, tol: float = _BOOL_TOL) -> bool:
-        """True when every table entry is 0 or 1 before any modulus reduction."""
-        raw = BooleanPolynomial(self.m, self.coeffs).table()
+        """True when every table entry is 0 or 1."""
+        raw = self.table()
         return bool(np.all((np.abs(raw) <= tol) | (np.abs(raw - 1.0) <= tol)))
-
-    def with_modulus(self, modulus: float | None) -> "BooleanPolynomial":
-        return BooleanPolynomial(self.m, self.coeffs, modulus)
 
     # -- algebra (all operations return new objects) -----------------------
 
-    def _merged_modulus(self, other: "BooleanPolynomial") -> float | None:
-        if self.modulus == other.modulus:
-            return self.modulus
-        return None
-
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            other = BooleanPolynomial.constant(self.m, other, self.modulus)
+            other = BooleanPolynomial.constant(self.m, other)
         if other.m != self.m:
             raise ValueError("variable counts differ")
         coeffs = dict(self.coeffs)
         for mask, c in other.coeffs.items():
             coeffs[mask] = coeffs.get(mask, 0.0) + c
-        return BooleanPolynomial(self.m, coeffs, self._merged_modulus(other))
+        return BooleanPolynomial(self.m, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BooleanPolynomial(self.m, {k: -c for k, c in self.coeffs.items()}, self.modulus)
+        return BooleanPolynomial(self.m, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -165,9 +146,7 @@ class BooleanPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return BooleanPolynomial(
-                self.m, {k: c * other for k, c in self.coeffs.items()}, self.modulus
-            )
+            return BooleanPolynomial(self.m, {k: c * other for k, c in self.coeffs.items()})
         if other.m != self.m:
             raise ValueError("variable counts differ")
         coeffs: dict[int, float] = {}
@@ -176,14 +155,13 @@ class BooleanPolynomial:
             for kb, cb in other.coeffs.items():
                 mask = ka | kb
                 coeffs[mask] = coeffs.get(mask, 0.0) + ca * cb
-        return BooleanPolynomial(self.m, coeffs, self._merged_modulus(other))
+        return BooleanPolynomial(self.m, coeffs)
 
     __rmul__ = __mul__
 
     def __repr__(self):
         terms = ", ".join(f"{mask:#b}: {c:g}" for mask, c in sorted(self.coeffs.items()))
-        mod = "" if self.modulus is None else f", mod {self.modulus:g}"
-        return f"BooleanPolynomial(m={self.m}{mod}, {{{terms}}})"
+        return f"BooleanPolynomial(m={self.m}, {{{terms}}})"
 
 
 def xor_expand(f: BooleanPolynomial, g: BooleanPolynomial, scale: float = 1.0) -> BooleanPolynomial:
@@ -195,4 +173,4 @@ def xor_expand(f: BooleanPolynomial, g: BooleanPolynomial, scale: float = 1.0) -
     if not f.is_boolean_valued() or not g.is_boolean_valued():
         raise ValueError("xor_expand needs 0/1-valued operands")
     out = f + g - 2.0 * (f * g)
-    return scale * out.with_modulus(None)
+    return scale * out

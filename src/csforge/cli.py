@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
-from .encoder import EncoderParams, SeedPair, encode_pair, known_seed
+from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
 from .sequences import ComplexSequence
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
 
@@ -52,6 +52,8 @@ def _complex_from_json(obj) -> np.ndarray:
         raise InputError(f"bad complex array: {exc}") from exc
     if re.shape != im.shape:
         raise InputError("re/im arrays differ in length")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise InputError("complex array holds a non-finite value")
     return re + 1j * im
 
 
@@ -74,13 +76,17 @@ def params_from_dict(doc: dict) -> EncoderParams:
     try:
         m = int(doc["m"])
         H = int(doc["H"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"params need integer m and H: {exc}") from exc
     seed_doc = doc.get("seed")
     if seed_doc is None:
         seed = known_seed(1)
     else:
-        seed = SeedPair(_complex_from_json(seed_doc["a"]), _complex_from_json(seed_doc["b"]))
+        try:
+            a, b = seed_doc["a"], seed_doc["b"]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"params seed needs 'a' and 'b' arrays: {exc!r}") from exc
+        seed = SeedPair(_complex_from_json(a), _complex_from_json(b))
     try:
         return EncoderParams(
             m=m,
@@ -94,7 +100,7 @@ def params_from_dict(doc: dict) -> EncoderParams:
             d=tuple(doc.get("d", [0] * m)),
             seed=seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -125,8 +131,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
+    text = json.dumps(doc, indent=2, allow_nan=allow_nan)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -226,6 +232,8 @@ def cmd_encode(args) -> int:
         sequence_record("c", result.c, args.oversample, check.residual, doc),
         sequence_record("d", result.d, args.oversample, check.residual, doc),
     ]
+    for record in records:
+        record["overlap"] = result.overlap
     _emit(records, args.out)
     return EXIT_OK
 
@@ -324,20 +332,21 @@ def cmd_papr(args) -> int:
     if args.out:
         trace.write_csv(args.out)
         report["trace_csv"] = args.out
-    print(json.dumps(report, indent=2))
+    _emit(report, None)
     return EXIT_OK
 
 
 def _codebook_from_args(args) -> np.ndarray:
     if args.codebook:
         doc = _load_json(args.codebook)
-        if isinstance(doc, dict) and "sequences" in doc:
-            entries = doc["sequences"]
-        elif isinstance(doc, list):
-            entries = [rec.get("values", rec) for rec in doc]
-        else:
-            raise InputError("codebook file needs 'sequences' or a record list")
-        words = [_complex_from_json(e) for e in entries]
+        try:
+            if isinstance(doc, dict):
+                entries = doc["sequences"]
+            else:
+                entries = [rec.get("values", rec) for rec in doc]
+            words = [_complex_from_json(e) for e in entries]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"codebook file needs 'sequences' or a record list: {exc!r}") from exc
         return np.asarray(words, dtype=complex)
     if args.rule:
         if not args.m or not args.s:
@@ -355,16 +364,10 @@ def _codebook_from_args(args) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     codebook = _codebook_from_args(args)
-    if len(codebook) > MAX_CODEBOOK:
-        raise GuardError(f"codebook of {len(codebook)} exceeds {MAX_CODEBOOK}")
     ebn0 = tuple(float(x) for x in args.ebn0.split(","))
-    try:
-        report = min_distance_sim(codebook, ebn0, args.trials, args.rng_seed)
-    except CodebookLimitError as exc:
-        raise GuardError(str(exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(report.to_dict(), args.out)
+    report = min_distance_sim(codebook, ebn0, args.trials, args.rng_seed)
+    # the noiseless point +inf is written as Infinity
+    _emit(report.to_dict(), args.out, allow_nan=True)
     return EXIT_OK
 
 
@@ -449,7 +452,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GuardError, qam.EnumerationLimitError, CodebookLimitError) as exc:
+    except (GuardError, qam.EnumerationLimitError, CodebookLimitError,
+            SequenceLengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (InputError, ValueError) as exc:

@@ -26,49 +26,25 @@ __all__ = [
     "ComponentFunctions",
     "EncodedPair",
     "EncoderParams",
+    "MAX_SEQUENCE_LENGTH",
     "RecursionParams",
     "SeedPair",
-    "UnitExpElement",
+    "SequenceLengthError",
     "component_functions",
     "encode_pair",
     "known_seed",
-    "order_select",
     "recursion_to_encoder",
     "run_recursion",
 ]
 
 MAX_ENCODE_VARS = 16
 
+# Longest pair the encoder builds: 4M elements, 64 MiB per complex output.
+MAX_SEQUENCE_LENGTH = 1 << 22
 
-@dataclass(frozen=True)
-class UnitExpElement:
-    """Coefficient xi^(r + j i) with xi = e^(2 pi / H), or an exact zero.
 
-    ``r`` scales the magnitude, ``i`` is a phase step on the H-th roots of
-    unity (real-valued steps are allowed, giving intermediate angles).
-    """
-
-    r: float
-    i: float
-    H: float
-    zero: bool = False
-
-    @classmethod
-    def exact_zero(cls, H: float) -> "UnitExpElement":
-        return cls(0.0, 0.0, H, zero=True)
-
-    def to_complex(self) -> complex:
-        if self.zero:
-            return 0j
-        w = 2.0 * math.pi / self.H
-        return cmath.exp(w * self.r + 1j * w * (self.i % self.H))
-
-    def __mul__(self, other: "UnitExpElement") -> "UnitExpElement":
-        if self.H != other.H:
-            raise ValueError("mixed moduli")
-        if self.zero or other.zero:
-            return UnitExpElement.exact_zero(self.H)
-        return UnitExpElement(self.r + other.r, self.i + other.i, self.H)
+class SequenceLengthError(RuntimeError):
+    """Raised when the requested pair exceeds ``MAX_SEQUENCE_LENGTH``."""
 
 
 class SeedPair:
@@ -125,11 +101,26 @@ def known_seed(length: int) -> SeedPair:
     return SeedPair(a, b)
 
 
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _as_float_tuple(values, m: int, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(_finite(v, name) for v in values)
     if len(out) != m:
         raise ValueError(f"{name} must have {m} entries, got {len(out)}")
     return out
+
+
+def _check_length(seed: SeedPair, m: int, pads: tuple[int, ...]) -> None:
+    length = len(seed) * (1 << m) + sum(pads)
+    if length > MAX_SEQUENCE_LENGTH:
+        raise SequenceLengthError(
+            f"pair length {length} exceeds the limit of {MAX_SEQUENCE_LENGTH}"
+        )
 
 
 @dataclass(frozen=True)
@@ -168,14 +159,15 @@ class EncoderParams:
         seed = self.seed
         if not isinstance(seed, SeedPair):
             seed = SeedPair(*seed)
+        _check_length(seed, m, d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "e", _as_float_tuple(self.e, m, "e"))
-        object.__setattr__(self, "e_prime", float(self.e_prime))
+        object.__setattr__(self, "e_prime", _finite(self.e_prime, "e_prime"))
         object.__setattr__(self, "k", tuple(v % H for v in _as_float_tuple(self.k, m, "k")))
-        object.__setattr__(self, "k_prime", float(self.k_prime) % H)
-        object.__setattr__(self, "k_dprime", float(self.k_dprime) % H)
+        object.__setattr__(self, "k_prime", _finite(self.k_prime, "k_prime") % H)
+        object.__setattr__(self, "k_dprime", _finite(self.k_dprime, "k_dprime") % H)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "seed", seed)
 
@@ -234,6 +226,7 @@ class RecursionParams:
         seed = self.seed
         if not isinstance(seed, SeedPair):
             seed = SeedPair(*seed)
+        _check_length(seed, m, shifts)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "scale_a", _as_float_tuple(self.scale_a, m, "scale_a"))
@@ -318,20 +311,6 @@ def component_functions(params: EncoderParams) -> ComponentFunctions:
     return ComponentFunctions(amp_c, amp_d, phase_c, phase_d, shift)
 
 
-def order_select(params: EncoderParams, x) -> str:
-    """Which seed a block uses: 'a' when the pi_1 bit of the index is 0."""
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < (1 << params.m):
-            raise ValueError(f"block index {x} out of range for m={params.m}")
-        bit = (int(x) >> (params.m - params.pi[0])) & 1
-    else:
-        bits = tuple(int(v) for v in x)
-        if len(bits) != params.m:
-            raise ValueError(f"expected {params.m} bits")
-        bit = bits[params.pi[0] - 1]
-    return "a" if bit == 0 else "b"
-
-
 class EncodedPair(NamedTuple):
     """Encoder output: the sequence pair plus an overlap diagnostic."""
 
@@ -347,35 +326,53 @@ def encode_pair(params: EncoderParams) -> EncodedPair:
     amplitude/phase coefficient of that output, placed at degree offset
     shift(x) + x*N.  Colliding placements are summed, which keeps the pair
     complementary; ``overlap`` reports whether any collision happened.
+
+    The five component tables are read straight off the index bits
+    b_n = bit pi_n of x: with q = sum b_n b_(n+1),
+
+        amp_c   = e_m b_m + sum e_n (b_n xor b_(n+1)) + e'
+        amp_d   = the same with 1 - b_m in place of b_m
+        phase_c = (H/2) q + sum k_n b_n + k'
+        phase_d = (H/2) (b_m xor (q mod 2)) + sum k_n b_n + k''
+        shift   = sum d_n b_n
+
+    and block x takes seed a where b_1 = 0.  ``component_functions`` builds
+    the same tables symbolically and serves as the oracle for this one.
     """
     p = params
-    size = 1 << p.m
-    comp = component_functions(p)
-    amp_c = comp.amp_c.table()
-    amp_d = comp.amp_d.table()
-    phase_c = comp.phase_c.table()
-    phase_d = comp.phase_d.table()
-    offsets = np.rint(comp.shift.table()).astype(int)
+    m = p.m
+    x = np.arange(1 << m)
+    bits = (x[:, None] >> (m - np.asarray(p.pi))) & 1  # column n holds b_(n+1)
+    top = bits[:, -1]
+    quad = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
+    linear = bits @ np.asarray(p.k)
+    n_seed = len(p.seed)
+    total = n_seed * len(x) + sum(p.d)
+    positions = ((bits @ np.asarray(p.d) + x * n_seed)[:, None] + np.arange(n_seed)).ravel()
+    blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[:, 0]]
+    w = 2.0 * math.pi / p.H
 
-    a = p.seed.a.values
-    b = p.seed.b.values
-    n_seed = len(a)
-    total = n_seed * size + sum(p.d)
-    c_out = np.zeros(total, dtype=complex)
-    d_out = np.zeros(total, dtype=complex)
-    occupancy = np.zeros(total, dtype=np.int32)
+    def place(amp, phase):
+        values = blocks * np.exp(w * amp + 1j * w * np.mod(phase, p.H))[:, None]
+        return (np.bincount(positions, weights=values.real.ravel(), minlength=total)
+                + 1j * np.bincount(positions, weights=values.imag.ravel(), minlength=total))
 
-    for x in range(size):
-        block = a if order_select(p, x) == "a" else b
-        start = offsets[x] + x * n_seed
-        c_out[start : start + n_seed] += block * UnitExpElement(amp_c[x], phase_c[x], p.H).to_complex()
-        d_out[start : start + n_seed] += block * UnitExpElement(amp_d[x], phase_d[x], p.H).to_complex()
-        occupancy[start : start + n_seed] += 1
+    e = np.asarray(p.e)
+    # huge amplitude exponents overflow to inf or nan here; the power check rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair_sum = (bits[:, :-1] ^ bits[:, 1:]) @ e[:-1] + p.e_prime
+        c = place(e[-1] * top + pair_sum, p.H / 2 * quad + linear + p.k_prime)
+        d = place(e[-1] * (1 - top) + pair_sum,
+                  p.H / 2 * (top ^ (quad & 1)) + linear + p.k_dprime)
+        # 2 * length * energy bounds every autocorrelation sum and envelope power
+        power = 2.0 * total * (np.vdot(c, c).real + np.vdot(d, d).real)
+    if not 0.0 < power < math.inf:
+        raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
 
     return EncodedPair(
-        c=ComplexSequence(c_out),
-        d=ComplexSequence(d_out),
-        overlap=bool(np.any(occupancy > 1)),
+        c=ComplexSequence(c),
+        d=ComplexSequence(d),
+        overlap=bool(np.max(np.bincount(positions, minlength=total)) > 1),
     )
 
 

@@ -92,6 +92,9 @@ def min_distance_sim(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    for point in ebn0_db:
+        if math.isnan(point) or point == -math.inf:
+            raise ValueError(f"Eb/N0 must be a number or +inf, got {point}")
     words = _prepare_codebook(codebook)
     bits = int(math.floor(math.log2(len(words))))
     used = words[: 1 << bits]
@@ -101,7 +104,7 @@ def min_distance_sim(
     rng = np.random.default_rng(rng_seed)
     errors: list[int] = []
     for point in ebn0_db:
-        if math.isinf(point):
+        if point == math.inf:
             sigma = 0.0
         else:
             n0 = eb / 10.0 ** (point / 10.0)

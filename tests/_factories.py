@@ -1,8 +1,12 @@
-"""Shared builders for randomized test parameters."""
+"""Shared builders for randomized test parameters, and a reference encoder."""
+
+import cmath
+import math
 
 import numpy as np
 
-from csforge import EncoderParams, RecursionParams, known_seed
+from csforge import ComplexSequence, EncodedPair, EncoderParams, RecursionParams, known_seed
+from csforge.encoder import component_functions
 
 
 def random_pi(rng, m):
@@ -55,8 +59,8 @@ def random_encoder_params(rng, m_max=6, moduli=(2, 4, 8), seed_lengths=(1, 2, 3)
     )
 
 
-def random_recursion_params(rng, m_max=5, moduli=(2, 4, 8), seed_lengths=(1, 2, 3)):
-    m = int(rng.integers(1, m_max + 1))
+def random_recursion_params(rng, m_max=5, moduli=(2, 4, 8), seed_lengths=(1, 2, 3), m_min=1):
+    m = int(rng.integers(m_min, m_max + 1))
     H = int(rng.choice(moduli))
     return RecursionParams(
         H=H,
@@ -77,3 +81,31 @@ def pair_matches(x, y, rtol=1e-9):
     y = np.asarray(y)
     scale = max(float(np.max(np.abs(x))), 1.0)
     return x.shape == y.shape and np.allclose(x, y, rtol=rtol, atol=rtol * scale)
+
+
+def reference_encode(params):
+    """Block-by-block encoder over the symbolic component tables.
+
+    Reads the five tables from ``component_functions`` and places one seed
+    copy at a time, so it shares no table or placement code with
+    ``encode_pair``.
+    """
+    p = params
+    comp = component_functions(p)
+    amp_c, amp_d = comp.amp_c.table(), comp.amp_d.table()
+    phase_c, phase_d = comp.phase_c.table(), comp.phase_d.table()
+    offsets = np.rint(comp.shift.table()).astype(int)
+    w = 2.0 * math.pi / p.H
+    a, b = p.seed.a.values, p.seed.b.values
+    n_seed = len(a)
+    total = n_seed * 2**p.m + sum(p.d)
+    c_out = np.zeros(total, dtype=complex)
+    d_out = np.zeros(total, dtype=complex)
+    occupancy = np.zeros(total, dtype=int)
+    for x in range(2**p.m):
+        block = a if (x >> (p.m - p.pi[0])) & 1 == 0 else b
+        start = offsets[x] + x * n_seed
+        c_out[start : start + n_seed] += block * cmath.exp(w * amp_c[x] + 1j * w * (phase_c[x] % p.H))
+        d_out[start : start + n_seed] += block * cmath.exp(w * amp_d[x] + 1j * w * (phase_d[x] % p.H))
+        occupancy[start : start + n_seed] += 1
+    return EncodedPair(ComplexSequence(c_out), ComplexSequence(d_out), bool(np.any(occupancy > 1)))

@@ -38,14 +38,6 @@ def test_product_table():
     assert np.array_equal(f.table(), [0, 0, 0, 1])
 
 
-def test_constant_reduces_mod_h():
-    f = BooleanPolynomial.constant(2, 3.0, modulus=4)
-    for bits in itertools.product((0, 1), repeat=2):
-        assert f.evaluate(bits) == 3.0
-    g = BooleanPolynomial.constant(2, 7.0, modulus=4)
-    assert g.evaluate((0, 1)) == 3.0
-
-
 def test_basis_tables_m3():
     # single variable x_3 toggles fastest
     assert np.array_equal(var(3, 3).table(), [0, 1, 0, 1, 0, 1, 0, 1])

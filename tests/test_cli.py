@@ -1,11 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from csforge import cli
+from csforge.encoder import MAX_SEQUENCE_LENGTH
 from csforge.qam import on_lattice
+from csforge.simulate import MAX_CODEBOOK
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -87,6 +92,52 @@ def test_encode_rule_knobs_reach_the_builder(capsys, rule):
     assert not np.allclose(values_of(stepped), values_of(base))
 
 
+def test_encode_reports_overlap(capsys):
+    _, out, _ = run_cli(capsys, "encode", "--m", "2", "--H", "4")
+    assert [r["overlap"] for r in json.loads(out)] == [False, False]
+    code, out, _ = run_cli(capsys, "encode", "--m", "2", "--H", "4", "--pi", "1,2", "--d", "0,1")
+    assert code == 0
+    assert [r["overlap"] for r in json.loads(out)] == [True, True]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--e", "nan,0"], 2),
+    (["--k", "inf,0"], 2),
+    (["--k-prime", "nan"], 2),
+    (["--e-prime", "1000"], 2),
+    (["--d", "1000000000,0"], 3),
+])
+def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
+    got, out, err = run_cli(capsys, "encode", "--m", "2", "--H", "4", *argv)
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": {}},
+    {"seed": [1]},
+    {"seed": {"a": {"re": [1, 1], "im": [0, 0]}, "b": {"re": [1, float("nan")], "im": [0, 0]}}},
+    {"e": 5},
+    {"e_prime": [1]},
+    {"e_prime": float("nan")},
+    {"d": [float("inf"), 0, 0]},
+    {"m": float("inf")},
+])
+def test_malformed_params_file_exits_2(tmp_path, capsys, change):
+    doc = multilevel_doc()
+    doc.update(change)
+    code, out, err = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_emit_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._emit({"papr_db": float("nan")}, None)
+
+
 def test_encode_validation_failure(tmp_path, capsys):
     doc = multilevel_doc()
     doc["seed"] = {"a": {"re": [1, 1], "im": [0, 0]}, "b": {"re": [1, 1], "im": [0, 0]}}
@@ -129,6 +180,19 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(broken))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_verify_rejects_non_finite_values(tmp_path, capsys):
+    path = write_params(tmp_path, multilevel_doc())
+    _, out, _ = run_cli(capsys, "encode", "--params", path)
+    records = json.loads(out)
+    records[0]["values"]["re"][2] = float("nan")
+    bad_file = tmp_path / "nan.json"
+    bad_file.write_text(json.dumps(records))
+    code, out, err = run_cli(capsys, "verify", str(bad_file))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "non-finite" in err
 
 
 def test_verify_reports_gap_layout(tmp_path, capsys):
@@ -264,8 +328,91 @@ def test_simulate_rejects_trials_below_one(capsys, trials):
     assert err.count("\n") == 1 and "trials" in err
 
 
+@pytest.mark.parametrize("ebn0", ["nan", "0,nan", "-inf"])
+def test_simulate_rejects_nan_and_minus_inf(capsys, ebn0):
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", "green", "--s", "1", "--m", "1",
+        f"--ebn0={ebn0}", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Eb/N0" in err
+
+
+def test_simulate_rejects_malformed_codebook(tmp_path, capsys):
+    cb_file = tmp_path / "codebook.json"
+    cb_file.write_text(json.dumps([1, 2]))
+    code, out, err = run_cli(capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+def test_simulate_codebook_file_guard(tmp_path, capsys):
+    cb_file = tmp_path / "codebook.json"
+    word = {"re": [1.0], "im": [0.0]}
+    cb_file.write_text(json.dumps({"sequences": [word] * (MAX_CODEBOOK + 1)}))
+    code, out, err = run_cli(
+        capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf", "--trials", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and str(MAX_CODEBOOK) in err
+
+
 def test_missing_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, "encode")
     assert code == 2
     code, _, err = run_cli(capsys, "simulate", "--ebn0", "0")
     assert code == 2
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+MODERATE = st.floats(-50.0, 50.0)
+KNOB = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-500.0, 500.0),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_encode_knob_fuzz(capsys, data):
+    m = data.draw(st.integers(1, 8), label="m")
+    # half the draws keep every knob in range, so that exit 0 is common too
+    knob = data.draw(st.sampled_from([MODERATE, KNOB]), label="knob range")
+    knobs = st.lists(knob, min_size=m, max_size=m)
+    # a pad is small, negative or past the length guard: a pair between the
+    # two would only slow the O(n^2) metrology down
+    pad = st.one_of(st.integers(0, 3), st.just(-1), st.integers(MAX_SEQUENCE_LENGTH, 10**12))
+    pads = st.one_of(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                     st.lists(pad, min_size=m, max_size=m))
+    H = st.one_of(st.sampled_from([2, 4, 8]), st.integers(-8, 10**6))
+    argv = [
+        "encode", f"--m={m}",
+        f"--H={data.draw(H, label='H')}",
+        f"--pi={','.join(map(str, data.draw(st.permutations(range(1, m + 1)), label='pi')))}",
+        f"--e={','.join(map(repr, data.draw(knobs, label='e')))}",
+        f"--k={','.join(map(repr, data.draw(knobs, label='k')))}",
+        f"--d={','.join(map(str, data.draw(pads, label='d')))}",
+    ]
+    for flag in ("--e-prime", "--k-prime", "--k-dprime"):
+        argv.append(f"{flag}={data.draw(knob, label=flag)!r}")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    # each numpy warning would print its own lines on stderr
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.count("\n") + len(numeric) <= 1, (err, numeric)
+    if code == 0:
+        records = json.loads(out, parse_constant=_no_constants)
+        assert [r["id"] for r in records] == ["c", "d"]

@@ -3,22 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from _factories import pair_matches, random_encoder_params, random_recursion_params
+from _factories import (
+    pair_matches,
+    random_encoder_params,
+    random_recursion_params,
+    reference_encode,
+)
 from csforge import (
     EncoderParams,
     RecursionParams,
     SeedPair,
-    UnitExpElement,
     component_functions,
     encode_pair,
     is_gcp,
     known_seed,
-    order_select,
     papr_oversampled_db,
     recursion_to_encoder,
     run_recursion,
     shifts_avoid_overlap,
 )
+from csforge.encoder import MAX_SEQUENCE_LENGTH, SequenceLengthError
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -81,17 +85,6 @@ def test_golden_two_cluster_layout():
     assert not res.overlap
     assert is_gcp(res.c, res.d).ok
     assert papr_oversampled_db(res.c, 16)[0] <= 3.02
-
-
-def test_order_select():
-    p = multilevel_params()
-    assert order_select(p, (0, 0, 0)) == "a"
-    assert order_select(p, (0, 1, 0)) == "b"
-    assert order_select(p, 0) == "a"
-    p_rev = EncoderParams.basic(m=3, H=4, pi=(3, 1, 2))
-    assert order_select(p_rev, (0, 0, 1)) == "b"
-    with pytest.raises(ValueError):
-        order_select(p, 8)
 
 
 def test_trivial_single_step_pair():
@@ -222,12 +215,50 @@ def test_phase_normalization():
     assert p.k_dprime == 3.5
 
 
-def test_unit_exp_element():
-    el = UnitExpElement(r=E1, i=0.0, H=4)
-    assert el.to_complex() == pytest.approx(3.0)
-    rot = UnitExpElement(r=0.0, i=1.0, H=4)
-    assert rot.to_complex() == pytest.approx(1j)
-    assert UnitExpElement.exact_zero(4).to_complex() == 0j
-    combined = el * rot
-    assert combined.to_complex() == pytest.approx(3j)
-    assert (el * UnitExpElement.exact_zero(4)).to_complex() == 0j
+def test_matches_blockwise_reference():
+    rng = np.random.default_rng(2024)
+    overlaps = 0
+    for _ in range(500):
+        p = random_encoder_params(rng, m_max=7, seed_lengths=(1, 2, 3, 4), shift_mode="mixed")
+        ref = reference_encode(p)
+        res = encode_pair(p)
+        assert pair_matches(ref.c.values, res.c.values)
+        assert pair_matches(ref.d.values, res.d.values)
+        assert res.overlap == ref.overlap
+        overlaps += res.overlap
+    assert 0 < overlaps < 500
+
+
+def test_oracle_equivalence_at_max_vars():
+    rp = random_recursion_params(np.random.default_rng(16), m_min=16, m_max=16)
+    direct_c, direct_d = run_recursion(rp)
+    res = encode_pair(recursion_to_encoder(rp))
+    assert pair_matches(direct_c.values, res.c.values)
+    assert pair_matches(direct_d.values, res.d.values)
+
+
+@pytest.mark.parametrize("knob", ["e", "k", "e_prime", "k_prime", "k_dprime"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(knob, value):
+    with pytest.raises(ValueError, match="finite"):
+        EncoderParams.basic(m=2, H=4, **{knob: (value, 0.0) if knob in ("e", "k") else value})
+
+
+@pytest.mark.parametrize("knob", ["scale_a", "scale_b", "phase_a", "phase_b", "phase_joint"])
+def test_recursion_params_reject_non_finite(knob):
+    with pytest.raises(ValueError, match="finite"):
+        RecursionParams.neutral(2, 4, **{knob: (0.0, math.nan)})
+
+
+@pytest.mark.parametrize("e_prime", [1000.0, 300.0, -1e300])
+def test_unrepresentable_power_is_rejected(e_prime):
+    with pytest.raises(ValueError, match="power"):
+        encode_pair(EncoderParams.basic(m=2, H=4, e_prime=e_prime))
+
+
+def test_length_guard():
+    with pytest.raises(SequenceLengthError):
+        EncoderParams.basic(m=2, H=4, d=(10**9, 0))
+    with pytest.raises(SequenceLengthError):
+        RecursionParams.neutral(2, 4, shifts=(0, MAX_SEQUENCE_LENGTH))
+    EncoderParams.basic(m=2, H=4, d=(MAX_SEQUENCE_LENGTH - 4, 0))  # exactly at the limit

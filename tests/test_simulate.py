@@ -60,6 +60,12 @@ def test_non_power_of_two_codebook_truncates():
     assert report.bits_per_word == 2
 
 
+@pytest.mark.parametrize("point", [float("nan"), float("-inf")])
+def test_rejects_nan_and_minus_inf_ebn0(point):
+    with pytest.raises(ValueError, match="Eb/N0"):
+        min_distance_sim(PAIR, [0.0, point], trials=10, rng_seed=0)
+
+
 def test_codebook_validation():
     with pytest.raises(ValueError):
         min_distance_sim([(1, 1)], [0.0], trials=10, rng_seed=0)
