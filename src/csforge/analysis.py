@@ -52,16 +52,32 @@ class ApacProfile:
         return self.values[self.n :]
 
 
-def apac(seq) -> ApacProfile:
-    """Direct O(n^2) aperiodic autocorrelation of a complex sequence.
+def _circular_apac(*seqs: np.ndarray) -> np.ndarray:
+    """Summed autocorrelation of equal-length sequences, in circular order.
 
-    rho(k) = sum_i conj(a_i) a_{i+k}; by construction rho(-k) = conj(rho(k)).
+    Wiener-Khinchin: one forward FFT of all the sequences, zero-padded to
+    the smallest power of two P >= 2n - 1 so that no lag wraps onto another,
+    and one inverse FFT of their summed power spectra.  Lag k lands at index
+    k, lag -k at index P - k.
+    """
+    n = len(seqs[0])
+    if n == 0:
+        raise ValueError("empty sequence")
+    spec = np.fft.fft(seqs, 1 << (2 * n - 2).bit_length())
+    spec *= spec.conj()
+    return np.fft.ifft(spec.sum(axis=0))
+
+
+def apac(seq) -> ApacProfile:
+    """Aperiodic autocorrelation of a complex sequence, in O(n log n).
+
+    rho(k) = sum_i conj(a_i) a_{i+k}; by construction rho(-k) = conj(rho(k)),
+    and ``values[n - 1 + k]`` holds rho(k).
     """
     a = as_array(seq)
-    if len(a) == 0:
-        raise ValueError("empty sequence")
-    full = np.correlate(a, a, mode="full")
-    return ApacProfile(values=full, n=len(a))
+    n = len(a)
+    circ = _circular_apac(a)
+    return ApacProfile(values=np.concatenate((circ[len(circ) - n + 1 :], circ[:n])), n=n)
 
 
 @dataclass(frozen=True)
@@ -86,11 +102,10 @@ def is_gcp(a, b, tol: float = GCP_TOL) -> GcpCheck:
     b = as_array(b)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    pa = apac(a)
-    pb = apac(b)
-    combined = pa.offpeak() + pb.offpeak()
-    violation = float(np.max(np.abs(combined))) if len(combined) else 0.0
-    energy = pa.zero_lag + pb.zero_lag
+    circ = _circular_apac(a, b)
+    offpeak = circ[1 : len(a)]
+    violation = float(np.max(np.abs(offpeak))) if len(offpeak) else 0.0
+    energy = float(circ[0].real)
     return GcpCheck(ok=violation <= tol * energy, violation=violation, energy=energy)
 
 
@@ -165,13 +180,14 @@ def power_from_apac(profile: ApacProfile, oversample: int = 16) -> np.ndarray:
     """Envelope power rebuilt from the autocorrelation, on the same grid.
 
     sum_k rho(k) e^(j 2 pi k t/T) reproduces the directly evaluated power,
-    which is the spectral identity the complementarity bound rests on.
+    which is the spectral identity the complementarity bound rests on.  With
+    rho(k) placed at index k mod G on the G = oversample * n point grid, one
+    inverse FFT evaluates that sum at every t = i T / G.
     """
     n_grid = oversample * profile.n
-    t = np.arange(n_grid) / n_grid
-    lags = np.arange(-(profile.n - 1), profile.n)
-    basis = np.exp(2j * np.pi * np.outer(lags, t))
-    return np.real(profile.values @ basis)
+    spread = np.zeros(n_grid, dtype=complex)
+    np.add.at(spread, np.arange(1 - profile.n, profile.n) % n_grid, profile.values)
+    return np.real(n_grid * np.fft.ifft(spread))
 
 
 def shifts_avoid_overlap(d: Sequence[int], pi: Sequence[int]) -> bool:

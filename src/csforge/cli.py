@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
-from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
+from .encoder import (EncoderParams, SeedPair, SequenceLengthError, encode_pair, integral,
+                      known_seed)
 from .sequences import ComplexSequence
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
 
@@ -74,9 +76,9 @@ def params_to_dict(p: EncoderParams) -> dict:
 
 def params_from_dict(doc: dict) -> EncoderParams:
     try:
-        m = int(doc["m"])
-        H = int(doc["H"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        m = integral(doc["m"], "m")
+        H = integral(doc["H"], "H")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"params need integer m and H: {exc}") from exc
     seed_doc = doc.get("seed")
     if seed_doc is None:
@@ -374,12 +376,24 @@ def cmd_simulate(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e3`` or ``-1,0`` as a value, and reports a usage error in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only -1 and -1.5 for negative numbers
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csforge",
         description="Synthesize and verify complementary sequence pairs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common_params(p):
         p.add_argument("--params", help="JSON parameter file")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import NamedTuple
@@ -108,6 +109,17 @@ def _finite(value, name: str) -> float:
     return value
 
 
+def integral(value, name: str) -> int:
+    """``value`` as an int; integral floats such as 2.0 pass, 1.7 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _as_float_tuple(values, m: int, name: str) -> tuple[float, ...]:
     out = tuple(_finite(v, name) for v in values)
     if len(out) != m:
@@ -144,16 +156,16 @@ class EncoderParams:
     seed: SeedPair
 
     def __post_init__(self):
-        m = int(self.m)
+        m = integral(self.m, "m")
         if m < 1 or m > MAX_ENCODE_VARS:
             raise ValueError(f"m must be in 1..{MAX_ENCODE_VARS}")
-        H = int(self.H)
+        H = integral(self.H, "H")
         if H <= 0 or H % 2 != 0:
             raise ValueError(f"H must be a positive even integer, got {self.H}")
-        pi = tuple(int(v) for v in self.pi)
+        pi = tuple(integral(v, "pi") for v in self.pi)
         if sorted(pi) != list(range(1, m + 1)):
             raise ValueError(f"pi must be a permutation of 1..{m}, got {pi}")
-        d = tuple(int(v) for v in self.d)
+        d = tuple(integral(v, "d") for v in self.d)
         if len(d) != m or any(v < 0 for v in d):
             raise ValueError("d must be m non-negative integers")
         seed = self.seed
@@ -214,13 +226,13 @@ class RecursionParams:
 
     def __post_init__(self):
         m = len(self.psi)
-        H = int(self.H)
+        H = integral(self.H, "H")
         if H <= 0 or H % 2 != 0:
             raise ValueError(f"H must be a positive even integer, got {self.H}")
-        psi = tuple(int(v) for v in self.psi)
+        psi = tuple(integral(v, "psi") for v in self.psi)
         if sorted(psi) != list(range(m)):
             raise ValueError(f"psi must be a permutation of 0..{m - 1}, got {psi}")
-        shifts = tuple(int(v) for v in self.shifts)
+        shifts = tuple(integral(v, "shifts") for v in self.shifts)
         if len(shifts) != m or any(v < 0 for v in shifts):
             raise ValueError("shifts must be m non-negative integers")
         seed = self.seed

@@ -41,8 +41,8 @@ def random_shifts(rng, pi, mode):
 
 
 def random_encoder_params(rng, m_max=6, moduli=(2, 4, 8), seed_lengths=(1, 2, 3),
-                          shift_mode="mixed"):
-    m = int(rng.integers(1, m_max + 1))
+                          shift_mode="mixed", m_min=1):
+    m = int(rng.integers(m_min, m_max + 1))
     H = int(rng.choice(moduli))
     pi = random_pi(rng, m)
     return EncoderParams(

@@ -3,8 +3,6 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _factories import random_encoder_params
 from csforge import (
@@ -18,17 +16,26 @@ from csforge import (
     power_from_apac,
     shifts_avoid_overlap,
 )
+from csforge.analysis import GCP_TOL
 
 
-def fft_apac_oracle(a):
-    """Linear autocorrelation through zero-padded spectra."""
+def correlate_apac(a):
+    """Direct O(n^2) autocorrelation in the ``ApacProfile.values`` layout."""
     a = np.asarray(a, dtype=complex)
+    return np.correlate(a, a, mode="full")
+
+
+def correlate_gcp(a, b):
+    """(violation, energy) of a pair from the direct autocorrelations."""
     n = len(a)
-    size = 1 << (2 * n - 1).bit_length()
-    spec = np.fft.fft(a, size)
-    circ = np.fft.ifft(spec * np.conj(spec))
-    # lag k sits at index k, lag -k at index size-k
-    return np.concatenate([circ[size - n + 1 :], circ[:n]])
+    combined = correlate_apac(a) + correlate_apac(b)
+    return float(np.max(np.abs(combined[n:]), initial=0.0)), float(combined[n - 1].real)
+
+
+def correlate_papr_bound_db(a):
+    full = correlate_apac(a)
+    r0 = full[len(a) - 1].real
+    return 10.0 * np.log10((r0 + 2.0 * np.sum(np.abs(full[len(a) :]))) / r0)
 
 
 def test_apac_simple():
@@ -64,14 +71,52 @@ def test_apac_empty_rejected():
         apac([])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 24), st.integers(0, 2**32 - 1))
-def test_apac_matches_fft_oracle(n, seed):
-    rng = np.random.default_rng(seed)
+ORACLE_KINDS = ("complex", "real", "pm1", "zero-runs", "wide")
+
+
+def _oracle_input(rng, n, kind):
+    if kind == "pm1":
+        return rng.choice([-1.0, 1.0], n)
+    if kind == "real":
+        return rng.standard_normal(n)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    prof = apac(a)
-    oracle = fft_apac_oracle(a)
-    assert np.allclose(prof.values, oracle, rtol=1e-9, atol=1e-9 * prof.zero_lag)
+    if kind == "zero-runs":
+        for _ in range(3):
+            start = int(rng.integers(0, n))
+            a[start : start + int(rng.integers(1, n // 3 + 2))] = 0.0
+    elif kind == "wide":
+        a *= 10.0 ** rng.uniform(-6, 6, n)
+    return a
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_apac_matches_correlate_oracle(kind):
+    rng = np.random.default_rng(ORACLE_KINDS.index(kind))
+    for n in range(1, 301):
+        a = _oracle_input(rng, n, kind)
+        oracle = correlate_apac(a)
+        prof = apac(a)
+        assert prof.values.shape == oracle.shape
+        assert np.max(np.abs(prof.values - oracle)) <= 1e-12 * oracle[n - 1].real
+
+
+def test_metrology_matches_correlate_oracle_on_encoded_pairs():
+    rng = np.random.default_rng(20)
+    for m in range(1, 13):
+        p = random_encoder_params(rng, m_min=m, m_max=m, seed_lengths=(1, 2, 3, 4))
+        res = encode_pair(p)
+        c, d = res.c.values, res.d.values
+        broken = c.copy()
+        broken[rng.choice(np.flatnonzero(c))] *= -1  # one sign flip breaks the pair
+        for x in (c, broken):
+            check = is_gcp(x, d)
+            violation, energy = correlate_gcp(x, d)
+            assert check.ok == (violation <= GCP_TOL * energy)
+            assert check.violation == pytest.approx(violation, abs=1e-12 * energy)
+            assert check.energy == pytest.approx(energy, rel=1e-12)
+        assert is_gcp(c, d).ok and not is_gcp(broken, d).ok
+        for x in (c, d):
+            assert papr_bound_db(x) == pytest.approx(correlate_papr_bound_db(x), abs=1e-9)
 
 
 def test_is_gcp_classic_pair():
@@ -131,10 +176,11 @@ def test_trace_mean_equals_zero_lag():
 
 def test_power_reconstruction_identity():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    _, trace = papr_oversampled_db(a, 16)
-    rebuilt = power_from_apac(apac(a), 16)
-    assert np.allclose(trace.power, rebuilt, rtol=1e-9, atol=1e-9 * trace.peak)
+    for n in (11, 4096):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        _, trace = papr_oversampled_db(a, 16)
+        rebuilt = power_from_apac(apac(a), 16)
+        assert np.allclose(trace.power, rebuilt, rtol=1e-9, atol=1e-9 * trace.peak)
 
 
 def test_constant_combined_power_for_encoded_pairs():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from csforge import cli
-from csforge.encoder import MAX_SEQUENCE_LENGTH
+from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH
 from csforge.qam import on_lattice
 from csforge.simulate import MAX_CODEBOOK
 
@@ -106,6 +107,7 @@ def test_encode_reports_overlap(capsys):
     (["--k-prime", "nan"], 2),
     (["--e-prime", "1000"], 2),
     (["--d", "1000000000,0"], 3),
+    (["--e-prime", "-1e3"], 2),
 ])
 def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, "encode", "--m", "2", "--H", "4", *argv)
@@ -123,6 +125,10 @@ def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     {"e_prime": float("nan")},
     {"d": [float("inf"), 0, 0]},
     {"m": float("inf")},
+    {"m": 3.5},
+    {"H": 4.5},
+    {"pi": [1.7, 2, 3]},
+    {"d": [0.9, 0, 0]},
 ])
 def test_malformed_params_file_exits_2(tmp_path, capsys, change):
     doc = multilevel_doc()
@@ -131,6 +137,53 @@ def test_malformed_params_file_exits_2(tmp_path, capsys, change):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_params_file_takes_integral_floats(tmp_path, capsys):
+    doc = {**multilevel_doc(), "d": [1, 0, 0]}
+    ints = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    doc.update({"m": 3.0, "H": 4.0, "pi": [2.0, 1.0, 3.0], "d": [1.0, 0.0, 0.0]})
+    floats = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    assert ints[0] == 0 and floats == ints
+
+
+def test_negative_scientific_values_are_values(capsys):
+    base = ["encode", "--m", "2", "--H", "4"]
+    spaced = run_cli(capsys, *base, "--e-prime", "-1e-1", "--e", "-1.5E-1,0")
+    joined = run_cli(capsys, *base, "--e-prime=-1e-1", "--e=-1.5E-1,0")
+    assert spaced[0] == 0 and spaced == joined
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["encode", "--m", "two"],
+    ["encode", "--bogus"],
+    ["encode", "--m", "2", "--H", "4", "--e-prime"],
+    ["verify"],
+    ["simulate", "--rule", "purple", "--ebn0", "0"],
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("csforge") and ": error: " in out.err
+
+
+def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
+    start = time.perf_counter()
+    pair = str(tmp_path / "pair.json")
+    code, _, _ = run_cli(capsys, "encode", "--m", str(MAX_ENCODE_VARS), "--H", "4", "--out", pair)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", pair)
+    elapsed = time.perf_counter() - start
+    report = json.loads(out)
+    assert code == 0 and report["gcp_ok"] and report["gcp_residual"] <= 1e-9
+    for record in report["records"]:
+        assert record["length"] == 2**MAX_ENCODE_VARS
+        assert record["papr_db"] <= record["papr_bound_db"]
+    assert elapsed < 10.0, f"m = {MAX_ENCODE_VARS} round trip took {elapsed:.1f} s"
 
 
 def test_emit_refuses_non_finite_numbers():
@@ -388,7 +441,7 @@ def test_encode_knob_fuzz(capsys, data):
     knob = data.draw(st.sampled_from([MODERATE, KNOB]), label="knob range")
     knobs = st.lists(knob, min_size=m, max_size=m)
     # a pad is small, negative or past the length guard: a pair between the
-    # two would only slow the O(n^2) metrology down
+    # two would only slow the test down
     pad = st.one_of(st.integers(0, 3), st.just(-1), st.integers(MAX_SEQUENCE_LENGTH, 10**12))
     pads = st.one_of(st.lists(st.integers(0, 3), min_size=m, max_size=m),
                      st.lists(pad, min_size=m, max_size=m))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,28 @@ def test_params_reject_non_finite(knob, value):
 def test_recursion_params_reject_non_finite(knob):
     with pytest.raises(ValueError, match="finite"):
         RecursionParams.neutral(2, 4, **{knob: (0.0, math.nan)})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.5), ("H", 4.5), ("pi", (1.7, 2)), ("d", (0.9, 0)), ("d", (0, float("inf"))),
+])
+def test_params_reject_non_integral(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EncoderParams.basic(m=2, H=4).replace(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("H", 4.5), ("psi", (0.5, 1)), ("shifts", (0.9, 0))])
+def test_recursion_params_reject_non_integral(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        replace(RecursionParams.neutral(2, 4), **{field: value})
+
+
+def test_params_take_integral_floats():
+    p = EncoderParams.basic(m=2, H=4).replace(m=2.0, H=4.0, pi=(2.0, 1.0), d=(np.float64(1), 0.0))
+    assert p == EncoderParams.basic(m=2, H=4, pi=(2, 1), d=(1, 0))
+    assert all(type(v) is int for v in (p.m, p.H, *p.pi, *p.d))
+    rp = replace(RecursionParams.neutral(2, 4), H=4.0, psi=(1.0, 0.0), shifts=(2.0, 0.0))
+    assert rp == RecursionParams.neutral(2, 4, psi=(1, 0), shifts=(2, 0))
 
 
 @pytest.mark.parametrize("e_prime", [1000.0, 300.0, -1e300])
