@@ -23,7 +23,7 @@ from csforge import (
 # amplitude exponent that lands the scaled elements exactly on |value| = 3
 e1 = (2.0 / math.pi) * math.log(3.0)
 
-params = EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(e1, 0.0, 0.0))
+params = EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(e1, 0.0, 0.0))
 comp = component_functions(params)
 
 print("component value tables over the block index x = 0..7")
@@ -40,7 +40,7 @@ print(f"\ncomplementary: {check.ok} (residual {check.residual:.2e})")
 print("off-peak autocorrelations cancel, so the pair bounds the OFDM peak power.")
 
 # same pair through the literal recursion: one scaling knob on the first step
-recursion = RecursionParams.neutral(3, 4, psi=(1, 2, 0), scale_b=(e1, 0.0, 0.0))
+recursion = RecursionParams(H=4, psi=(1, 2, 0), scale_b=(e1, 0.0, 0.0))
 direct_c, direct_d = run_recursion(recursion)
 converted = recursion_to_encoder(recursion)
 print("\nrecursion knobs translate to the same closed-form parameters:")

@@ -20,7 +20,7 @@ from csforge import (
 
 rng = np.random.default_rng(1)
 
-params = EncoderParams.basic(m=4, H=4, k=tuple(rng.integers(0, 4, 4)), seed=known_seed(3))
+params = EncoderParams(m=4, H=4, k=tuple(rng.integers(0, 4, 4)), seed=known_seed(3))
 pair = encode_pair(params)
 
 db_c, trace = papr_oversampled_db(pair.c, oversample=16)

@@ -21,7 +21,7 @@ b = np.array([1, 1, -1])
 e1 = (2.0 / np.pi) * np.log(3.0)
 
 for d in [(0, 0, 0), (0, 60, 0), (12, 60, 4)]:
-    params = EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(e1, 0, 0), d=d, seed=(a, b))
+    params = EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(e1, 0, 0), d=d, seed=(a, b))
     disjoint = shifts_avoid_overlap(d, params.pi)
     result = encode_pair(params)
     papr, _ = papr_oversampled_db(result.c, 16)

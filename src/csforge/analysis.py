@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import as_array
+from .sequences import as_array, pads, permutation
 
 __all__ = [
     "ApacProfile",
@@ -197,13 +197,9 @@ def shifts_avoid_overlap(d: Sequence[int], pi: Sequence[int]) -> bool:
     the step with pi equal to a covers the total padding of all steps with
     larger pi.
     """
-    pi = list(pi)
     m = len(pi)
-    if sorted(pi) != list(range(1, m + 1)):
-        raise ValueError(f"pi must be a permutation of 1..{m}, got {tuple(pi)}")
-    d = [int(v) for v in d]
-    if len(d) != m or any(v < 0 for v in d):
-        raise ValueError("shifts must be m non-negative integers")
+    pi = permutation(pi, m, 1, "pi")
+    d = pads(d, m, "shifts")
     for level in range(1, m):
         tail = sum(d[i] for i in range(m) if pi[i] > level)
         if d[pi.index(level)] < tail:

@@ -9,6 +9,8 @@ disk are bit-identical to what was written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import re
 import sys
@@ -17,8 +19,7 @@ import numpy as np
 
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
-from .encoder import (EncoderParams, SeedPair, SequenceLengthError, encode_pair, integral,
-                      known_seed)
+from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
 from .sequences import ComplexSequence
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
 
@@ -54,9 +55,14 @@ def _complex_from_json(obj) -> np.ndarray:
         raise InputError(f"bad complex array: {exc}") from exc
     if re.shape != im.shape:
         raise InputError("re/im arrays differ in length")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise InputError("complex array holds a non-finite value")
-    return re + 1j * im
+    values = re + 1j * im
+    # the bound encode_pair checks: 2 * length * energy bounds every
+    # autocorrelation sum and envelope power the metrology computes
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = 2.0 * values.size * np.vdot(values, values).real
+    if not np.isfinite(power):
+        raise InputError("complex array holds a non-finite value or its power overflows")
+    return values
 
 
 def params_to_dict(p: EncoderParams) -> dict:
@@ -74,34 +80,25 @@ def params_to_dict(p: EncoderParams) -> dict:
     }
 
 
+_PARAM_FIELDS = tuple(field.name for field in dataclasses.fields(EncoderParams))
+
+
 def params_from_dict(doc: dict) -> EncoderParams:
+    """Encoder params from a parameter document; a missing or null knob takes its default."""
     try:
-        m = integral(doc["m"], "m")
-        H = integral(doc["H"], "H")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"params need integer m and H: {exc}") from exc
-    seed_doc = doc.get("seed")
-    if seed_doc is None:
-        seed = known_seed(1)
-    else:
+        knobs = {name: doc[name] for name in _PARAM_FIELDS if doc.get(name) is not None}
+    except AttributeError as exc:
+        raise InputError(f"params must be a JSON object: {exc}") from exc
+    if "m" not in knobs or "H" not in knobs:
+        raise InputError("params need integer m and H")
+    if "seed" in knobs:
         try:
-            a, b = seed_doc["a"], seed_doc["b"]
+            a, b = knobs["seed"]["a"], knobs["seed"]["b"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"params seed needs 'a' and 'b' arrays: {exc!r}") from exc
-        seed = SeedPair(_complex_from_json(a), _complex_from_json(b))
+        knobs["seed"] = SeedPair(_complex_from_json(a), _complex_from_json(b))
     try:
-        return EncoderParams(
-            m=m,
-            H=H,
-            pi=tuple(doc.get("pi", range(1, m + 1))),
-            e=tuple(doc.get("e", [0.0] * m)),
-            e_prime=float(doc.get("e_prime", 0.0)),
-            k=tuple(doc.get("k", [0.0] * m)),
-            k_prime=float(doc.get("k_prime", 0.0)),
-            k_dprime=float(doc.get("k_dprime", 0.0)),
-            d=tuple(doc.get("d", [0] * m)),
-            seed=seed,
-        )
+        return EncoderParams(**knobs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -159,6 +156,9 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise InputError(f"bad number list {text!r}") from exc
 
 
+_LIST_KNOBS = (("pi", _int_list), ("e", _float_list), ("k", _float_list), ("d", _int_list))
+
+
 def _seed_from_args(args) -> SeedPair | None:
     if getattr(args, "seed_pair", None):
         doc = _load_json(args.seed_pair)
@@ -204,20 +204,11 @@ def _params_from_args(args) -> EncoderParams:
             raise InputError(str(exc)) from exc
     if not args.m or not args.H:
         raise InputError("need --params, --rule, or both --m and --H")
-    m = args.m
+    knobs = {name: parse(text) for name, parse in _LIST_KNOBS if (text := getattr(args, name))}
+    knobs.update((name, value) for name in ("e_prime", "k_prime", "k_dprime")
+                 if (value := getattr(args, name)) is not None)
     try:
-        return EncoderParams(
-            m=m,
-            H=args.H,
-            pi=_int_list(args.pi) if args.pi else tuple(range(1, m + 1)),
-            e=_float_list(args.e) if args.e else (0.0,) * m,
-            e_prime=args.e_prime,
-            k=_float_list(args.k) if args.k else (0.0,) * m,
-            k_prime=args.k_prime,
-            k_dprime=args.k_dprime,
-            d=_int_list(args.d) if args.d else (0,) * m,
-            seed=_seed_from_args(args) or known_seed(1),
-        )
+        return EncoderParams(args.m, args.H, seed=_seed_from_args(args), **knobs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -388,7 +379,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``csforge`` parser, built on first use and shared by every call of ``main``."""
     parser = _Parser(
         prog="csforge",
         description="Synthesize and verify complementary sequence pairs.",
@@ -408,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--H", type=int)
         p.add_argument("--pi", help="bit order, e.g. 2,1,3")
         p.add_argument("--e", help="amplitude exponents")
-        p.add_argument("--e-prime", dest="e_prime", type=float, default=0.0)
+        p.add_argument("--e-prime", dest="e_prime", type=float)
         p.add_argument("--k", help="phase steps")
-        p.add_argument("--k-prime", dest="k_prime", type=float, default=0.0)
-        p.add_argument("--k-dprime", dest="k_dprime", type=float, default=0.0)
+        p.add_argument("--k-prime", dest="k_prime", type=float)
+        p.add_argument("--k-dprime", dest="k_dprime", type=float)
         p.add_argument("--d", help="zero-padding amounts")
         p.add_argument("--seed-pair", dest="seed_pair", help="JSON seed pair file")
         p.add_argument("--seed-trivial", dest="seed_trivial", action="store_true",

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import GCP_TOL, is_gcp
 from .boolean import BooleanPolynomial, xor_expand
-from .sequences import ComplexSequence, as_array
+from .sequences import ComplexSequence, as_array, finite, finite_steps, integral, pads, permutation
 
 __all__ = [
     "ComponentFunctions",
@@ -93,8 +92,12 @@ _KNOWN_SEEDS = {
 }
 
 
+@cache
 def known_seed(length: int) -> SeedPair:
-    """A stock complementary pair of the requested length (1 to 4)."""
+    """A stock complementary pair of the requested length (1 to 4).
+
+    Pairs are immutable, so each length is built and checked once.
+    """
     try:
         a, b = _KNOWN_SEEDS[length]
     except KeyError:
@@ -102,29 +105,17 @@ def known_seed(length: int) -> SeedPair:
     return SeedPair(a, b)
 
 
-def _finite(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+def _modulus(value) -> int:
+    H = integral(value, "H")
+    if H <= 0 or H % 2 != 0:
+        raise ValueError(f"H must be a positive even integer, got {value}")
+    return H
 
 
-def integral(value, name: str) -> int:
-    """``value`` as an int; integral floats such as 2.0 pass, 1.7 is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _as_float_tuple(values, m: int, name: str) -> tuple[float, ...]:
-    out = tuple(_finite(v, name) for v in values)
-    if len(out) != m:
-        raise ValueError(f"{name} must have {m} entries, got {len(out)}")
-    return out
+def _seed(seed) -> SeedPair:
+    if seed is None:
+        return known_seed(1)
+    return seed if isinstance(seed, SeedPair) else SeedPair(*seed)
 
 
 def _check_length(seed: SeedPair, m: int, pads: tuple[int, ...]) -> None:
@@ -142,67 +133,41 @@ class EncoderParams:
     ``pi`` orders the block-index bits; ``e``/``e_prime`` are amplitude
     exponents (free reals); ``k``/``k_prime``/``k_dprime`` are phase steps,
     normalized into [0, H); ``d`` holds non-negative zero-padding amounts.
+    Only ``m`` and ``H`` are required: ``pi`` defaults to the identity
+    order, the other knobs to zero and ``seed`` to the length-1 pair.
     """
 
     m: int
     H: int
-    pi: tuple[int, ...]
-    e: tuple[float, ...]
-    e_prime: float
-    k: tuple[float, ...]
-    k_prime: float
-    k_dprime: float
-    d: tuple[int, ...]
-    seed: SeedPair
+    pi: tuple[int, ...] | None = None
+    e: tuple[float, ...] | None = None
+    e_prime: float = 0.0
+    k: tuple[float, ...] | None = None
+    k_prime: float = 0.0
+    k_dprime: float = 0.0
+    d: tuple[int, ...] | None = None
+    seed: SeedPair | None = None
 
     def __post_init__(self):
         m = integral(self.m, "m")
         if m < 1 or m > MAX_ENCODE_VARS:
             raise ValueError(f"m must be in 1..{MAX_ENCODE_VARS}")
-        H = integral(self.H, "H")
-        if H <= 0 or H % 2 != 0:
-            raise ValueError(f"H must be a positive even integer, got {self.H}")
-        pi = tuple(integral(v, "pi") for v in self.pi)
-        if sorted(pi) != list(range(1, m + 1)):
-            raise ValueError(f"pi must be a permutation of 1..{m}, got {pi}")
-        d = tuple(integral(v, "d") for v in self.d)
-        if len(d) != m or any(v < 0 for v in d):
-            raise ValueError("d must be m non-negative integers")
-        seed = self.seed
-        if not isinstance(seed, SeedPair):
-            seed = SeedPair(*seed)
-        _check_length(seed, m, d)
+        H = _modulus(self.H)
+        pi = permutation(self.pi, m, 1, "pi")
+        d = pads(self.d, m, "d")
+        seed = _seed(self.seed)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "e", _as_float_tuple(self.e, m, "e"))
-        object.__setattr__(self, "e_prime", _finite(self.e_prime, "e_prime"))
-        object.__setattr__(self, "k", tuple(v % H for v in _as_float_tuple(self.k, m, "k")))
-        object.__setattr__(self, "k_prime", _finite(self.k_prime, "k_prime") % H)
-        object.__setattr__(self, "k_dprime", _finite(self.k_dprime, "k_dprime") % H)
+        object.__setattr__(self, "e", finite_steps(self.e, m, "e"))
+        object.__setattr__(self, "e_prime", finite(self.e_prime, "e_prime"))
+        object.__setattr__(self, "k", tuple(v % H for v in finite_steps(self.k, m, "k")))
+        object.__setattr__(self, "k_prime", finite(self.k_prime, "k_prime") % H)
+        object.__setattr__(self, "k_dprime", finite(self.k_dprime, "k_dprime") % H)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "seed", seed)
-
-    @classmethod
-    def basic(cls, m, H, pi=None, e=None, e_prime=0.0, k=None, k_prime=0.0,
-              k_dprime=0.0, d=None, seed=None) -> "EncoderParams":
-        """Build params with zero defaults and a trivial length-1 seed."""
-        pi = tuple(pi) if pi is not None else tuple(range(1, m + 1))
-        return cls(
-            m=m,
-            H=H,
-            pi=pi,
-            e=tuple(e) if e is not None else (0.0,) * m,
-            e_prime=e_prime,
-            k=tuple(k) if k is not None else (0.0,) * m,
-            k_prime=k_prime,
-            k_dprime=k_dprime,
-            d=tuple(d) if d is not None else (0,) * m,
-            seed=seed if seed is not None else known_seed(1),
-        )
-
-    def replace(self, **changes) -> "EncoderParams":
-        return replace(self, **changes)
+        # checked last, so that a bad knob is an input error, not a guard
+        _check_length(seed, m, d)
 
 
 @dataclass(frozen=True)
@@ -212,65 +177,37 @@ class RecursionParams:
     ``scale_a``/``scale_b`` are exponents of the real scalars, the three
     phase lists are steps on the H-th roots of unity, ``shifts`` pads the
     second operand, and ``psi`` orders the power-of-two spreading factors.
+    Only ``H`` and ``psi`` are required: the per-step lists default to
+    ``len(psi)`` zeros and ``seed`` to the length-1 pair.
     """
 
     H: int
     psi: tuple[int, ...]
-    scale_a: tuple[float, ...]
-    scale_b: tuple[float, ...]
-    phase_a: tuple[float, ...]
-    phase_b: tuple[float, ...]
-    phase_joint: tuple[float, ...]
-    shifts: tuple[int, ...]
-    seed: SeedPair
+    scale_a: tuple[float, ...] | None = None
+    scale_b: tuple[float, ...] | None = None
+    phase_a: tuple[float, ...] | None = None
+    phase_b: tuple[float, ...] | None = None
+    phase_joint: tuple[float, ...] | None = None
+    shifts: tuple[int, ...] | None = None
+    seed: SeedPair | None = None
 
     def __post_init__(self):
         m = len(self.psi)
-        H = integral(self.H, "H")
-        if H <= 0 or H % 2 != 0:
-            raise ValueError(f"H must be a positive even integer, got {self.H}")
-        psi = tuple(integral(v, "psi") for v in self.psi)
-        if sorted(psi) != list(range(m)):
-            raise ValueError(f"psi must be a permutation of 0..{m - 1}, got {psi}")
-        shifts = tuple(integral(v, "shifts") for v in self.shifts)
-        if len(shifts) != m or any(v < 0 for v in shifts):
-            raise ValueError("shifts must be m non-negative integers")
-        seed = self.seed
-        if not isinstance(seed, SeedPair):
-            seed = SeedPair(*seed)
-        _check_length(seed, m, shifts)
+        H = _modulus(self.H)
+        psi = permutation(self.psi, m, 0, "psi")
+        shifts = pads(self.shifts, m, "shifts")
+        seed = _seed(self.seed)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "scale_a", _as_float_tuple(self.scale_a, m, "scale_a"))
-        object.__setattr__(self, "scale_b", _as_float_tuple(self.scale_b, m, "scale_b"))
-        object.__setattr__(self, "phase_a", _as_float_tuple(self.phase_a, m, "phase_a"))
-        object.__setattr__(self, "phase_b", _as_float_tuple(self.phase_b, m, "phase_b"))
-        object.__setattr__(self, "phase_joint", _as_float_tuple(self.phase_joint, m, "phase_joint"))
+        for name in ("scale_a", "scale_b", "phase_a", "phase_b", "phase_joint"):
+            object.__setattr__(self, name, finite_steps(getattr(self, name), m, name))
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "seed", seed)
+        _check_length(seed, m, shifts)
 
     @property
     def m(self) -> int:
         return len(self.psi)
-
-    @classmethod
-    def neutral(cls, m, H, psi=None, seed=None, **overrides) -> "RecursionParams":
-        """All-zero knobs; keyword overrides replace whole per-step lists."""
-        fields = {
-            "scale_a": (0.0,) * m,
-            "scale_b": (0.0,) * m,
-            "phase_a": (0.0,) * m,
-            "phase_b": (0.0,) * m,
-            "phase_joint": (0.0,) * m,
-            "shifts": (0,) * m,
-        }
-        fields.update(overrides)
-        return cls(
-            H=H,
-            psi=tuple(psi) if psi is not None else tuple(range(m)),
-            seed=seed if seed is not None else known_seed(1),
-            **fields,
-        )
 
 
 class ComponentFunctions(NamedTuple):

@@ -25,19 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .encoder import (
-    EncoderParams,
-    RecursionParams,
-    SeedPair,
-    encode_pair,
-    known_seed,
-    recursion_to_encoder,
-)
+from .encoder import EncoderParams, RecursionParams, SeedPair, encode_pair, recursion_to_encoder
+from .sequences import finite_steps, permutation
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
@@ -173,17 +167,6 @@ def on_lattice(values, s: int, tol: float = QAM_POINT_TOL) -> bool:
 # -- rule parameter builders -------------------------------------------------
 
 
-def _common(s, m, pi, k, seed):
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    pi = tuple(pi) if pi is not None else tuple(range(1, m + 1))
-    k = tuple(k) if k is not None else (0.0,) * m
-    if len(k) != m:
-        raise ValueError(f"k must have {m} entries")
-    seed = seed if seed is not None else known_seed(1)
-    return pi, k, seed
-
-
 def _check_range(s, name, value):
     if not 1 <= value <= s:
         raise ValueError(f"{name}={value} out of range 1..{s}")
@@ -193,10 +176,9 @@ def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """One radius for all elements: scale by gamma, rotate onto the point."""
     _check_range(s, "u", u)
     _check_range(s, "v", v)
-    pi, k, seed = _common(s, m, pi, k, seed)
     g = lattice_geometry(u, v)
     const = z - _SCALE * g.phi
-    return EncoderParams.basic(
+    return EncoderParams(
         m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=k,
         k_prime=const, k_dprime=const, seed=seed,
     )
@@ -206,26 +188,24 @@ def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
     """Scale and rotate each half at step ell; half_x is (scale, phase)."""
     if not 1 <= ell <= m:
         raise ValueError(f"ell={ell} out of range 1..{m}")
-    pi, k, seed = _common(s, m, pi, k, seed)
 
     def at_ell(value):
         steps = [0.0] * m
         steps[ell - 1] = value
         return tuple(steps)
 
-    rp = RecursionParams.neutral(
-        m,
+    rp = RecursionParams(
         RULE_MODULUS,
-        psi=tuple(m - p for p in pi),
-        seed=seed,
+        psi=tuple(m - p for p in permutation(pi, m, 1, "pi")),
         scale_a=at_ell(half_a[0]),
         scale_b=at_ell(half_b[0]),
         phase_a=at_ell(half_a[1]),
         phase_b=at_ell(half_b[1]),
-        phase_joint=k,
+        phase_joint=finite_steps(k, m, "k"),
+        seed=seed,
     )
     params = recursion_to_encoder(rp)
-    return params.replace(k_prime=params.k_prime + z, k_dprime=params.k_dprime + z)
+    return replace(params, k_prime=params.k_prime + z, k_dprime=params.k_dprime + z)
 
 
 def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
@@ -292,12 +272,11 @@ def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) ->
         raise ValueError("sign_a must be +1 or -1")
     if not 1 <= ell <= m:
         raise ValueError(f"ell={ell} out of range 1..{m}")
-    pi, k, seed = _common(s, m, pi, k, seed)
     g = lattice_geometry(u, v)
-    phases = list(k)
+    phases = list(finite_steps(k, m, "k"))
     phases[ell - 1] -= sign_a * _SCALE * g.mu
     const = z + sign_a * _SCALE * g.phi
-    return EncoderParams.basic(
+    return EncoderParams(
         m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=phases,
         k_prime=const, k_dprime=const, seed=seed,
     )
@@ -508,8 +487,6 @@ def enumerate_rule(
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
-    seed = seed if seed is not None else known_seed(1)
-
     build = entry.build
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
     for choice in entry.choices(s):

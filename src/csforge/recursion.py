@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolean import BooleanPolynomial
+from .sequences import permutation
 
 __all__ = [
     "MAX_SYMBOLIC_VARS",
@@ -62,9 +63,7 @@ def operator_config(kind: str) -> tuple[int, int, int, int]:
 def pi_from_psi(psi: Sequence[int]) -> tuple[int, ...]:
     """Variable order pi_n = m - psi_n induced by a shift order psi."""
     m = len(psi)
-    if sorted(psi) != list(range(m)):
-        raise ValueError(f"psi must be a permutation of 0..{m - 1}, got {tuple(psi)}")
-    return tuple(m - p for p in psi)
+    return tuple(m - p for p in permutation(psi, m, 0, "psi"))
 
 
 def _check_config(config) -> tuple[int, int, int, int]:

@@ -1,15 +1,31 @@
-"""Complex coefficient sequences with explicit support.
+"""Complex coefficient sequences with explicit support, and the checks on knobs.
 
 The element at index i is the coefficient of z^i in the polynomial view of
 the sequence, so index order equals subcarrier order.  Zero entries are
 structural: support is decided by exact comparison, never by rounding.
+
+The checks below are the one definition of an admissible knob: a finite
+real, an integer (integral floats such as 2.0 included), a list of m finite
+reals, a permutation, and m non-negative pads.  ``None`` in place of a list
+means its default: zeros, or the identity order.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
-__all__ = ["ComplexSequence", "as_array"]
+__all__ = [
+    "ComplexSequence",
+    "as_array",
+    "finite",
+    "finite_steps",
+    "integral",
+    "pads",
+    "permutation",
+]
 
 
 class ComplexSequence:
@@ -70,3 +86,52 @@ def as_array(seq) -> np.ndarray:
         return seq.values
     arr = np.asarray(seq, dtype=complex).reshape(-1)
     return arr
+
+
+def finite(value, name: str) -> float:
+    """``value`` as a float; nan and the infinities are refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def integral(value, name: str) -> int:
+    """``value`` as an int; integral floats such as 2.0 pass, 1.7 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def finite_steps(values, m: int, name: str) -> tuple[float, ...]:
+    """``m`` finite reals; ``None`` means ``m`` zeros."""
+    if values is None:
+        return (0.0,) * m
+    out = tuple(finite(v, name) for v in values)
+    if len(out) != m:
+        raise ValueError(f"{name} must have {m} entries, got {len(out)}")
+    return out
+
+
+def permutation(values, m: int, first: int, name: str) -> tuple[int, ...]:
+    """A permutation of first..first+m-1; ``None`` means the identity order."""
+    if values is None:
+        return tuple(range(first, first + m))
+    out = tuple(integral(v, name) for v in values)
+    if sorted(out) != list(range(first, first + m)):
+        raise ValueError(f"{name} must be a permutation of {first}..{first + m - 1}, got {out}")
+    return out
+
+
+def pads(values, m: int, name: str) -> tuple[int, ...]:
+    """``m`` non-negative integer pads; ``None`` means ``m`` zeros."""
+    if values is None:
+        return (0,) * m
+    out = tuple(integral(v, name) for v in values)
+    if len(out) != m or any(v < 0 for v in out):
+        raise ValueError(f"{name} must be m non-negative integers")
+    return out

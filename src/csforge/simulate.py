@@ -25,7 +25,10 @@ __all__ = [
 
 MAX_CODEBOOK = 1 << 16
 
-_CHUNK = 4096
+_CHUNK = 4096  # trials per noise draw
+
+# size of one block of nearest-neighbour scores: rows of M complex numbers
+_BLOCK_BYTES = 1 << 25
 
 
 class CodebookLimitError(RuntimeError):
@@ -98,8 +101,12 @@ def min_distance_sim(
     words = _prepare_codebook(codebook)
     bits = int(math.floor(math.log2(len(words))))
     used = words[: 1 << bits]
-    energy = float(np.mean(np.sum(np.abs(used) ** 2, axis=1)))
-    eb = energy / bits
+    norms = np.sum(np.abs(used) ** 2, axis=1)
+    eb = float(np.mean(norms)) / bits
+    # ||r - c||^2 = ||r||^2 + (||c||^2 - 2 Re<r, c>), and the first term is
+    # the same for every candidate c, so one matrix product scores a block
+    conj_t = used.conj().T
+    rows = max(1, _BLOCK_BYTES // (16 * len(used)))
 
     rng = np.random.default_rng(rng_seed)
     errors: list[int] = []
@@ -119,8 +126,10 @@ def min_distance_sim(
                 rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)
             )
             rx = tx + noise
-            dist = np.sum(np.abs(rx[:, None, :] - used[None, :, :]) ** 2, axis=2)
-            decided = np.argmin(dist, axis=1)
+            decided = np.concatenate([
+                np.argmin(norms - 2.0 * (rx[i : i + rows] @ conj_t).real, axis=1)
+                for i in range(0, batch, rows)
+            ])
             bit_errs += int(np.sum(_popcount(idx ^ decided)))
             remaining -= batch
         errors.append(bit_errs)

@@ -48,21 +48,21 @@ class Budget:
 def test_criterion_01_golden_vectors():
     gate = Budget("acceptance-01 golden vectors", 1.0)
     ok = True
-    res = encode_pair(EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0)))
+    res = encode_pair(EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0)))
     ok &= pair_matches([1, 1, 3, 3, 3, -3, -1, 1], res.c.values)
 
     a = np.array([1, 1j, 1, 1, 1, -1])
     b = np.array([1, 1j, 1, -1, -1, 1])
-    res = encode_pair(EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), seed=(a, b)))
+    res = encode_pair(EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), seed=(a, b)))
     ok &= pair_matches(np.concatenate([a, a, 3 * b, 3 * b, 3 * a, -3 * a, -b, b]), res.c.values)
 
-    res = encode_pair(EncoderParams.basic(m=3, H=4, pi=(3, 1, 2), e=(0, E1, 0), seed=(a, b)))
+    res = encode_pair(EncoderParams(m=3, H=4, pi=(3, 1, 2), e=(0, E1, 0), seed=(a, b)))
     ok &= pair_matches(np.concatenate([a, b, 3 * a, 3 * b, 3 * a, -3 * b, -a, b]), res.c.values)
 
     a3 = np.array([1, 1j, 1])
     b3 = np.array([1, 1, -1])
     res = encode_pair(
-        EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), d=(0, 60, 0), seed=(a3, b3))
+        EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), d=(0, 60, 0), seed=(a3, b3))
     )
     expected = np.concatenate([a3, a3, 3 * b3, 3 * b3, np.zeros(60), 3 * a3, -3 * a3, -b3, b3])
     ok &= pair_matches(expected, res.c.values)
@@ -166,7 +166,7 @@ def test_criterion_06_standard_binary_reduction():
     for pi in itertools.permutations((1, 2, 3)):
         for k in itertools.product((0, 1), repeat=3):
             for k_prime in (0, 1):
-                p = EncoderParams.basic(m=3, H=2, pi=pi, k=k, k_prime=k_prime)
+                p = EncoderParams(m=3, H=2, pi=pi, k=k, k_prime=k_prime)
                 c = encode_pair(p).c.values
                 generated.add(tuple(int(round(v.real)) for v in c))
     gate.finish(

@@ -208,6 +208,10 @@ def test_shifts_avoid_overlap_cases():
         shifts_avoid_overlap((0, -1, 0), (2, 1, 3))
     with pytest.raises(ValueError):
         shifts_avoid_overlap((0, 0), (2, 1, 3))
+    # a pad is an integer: 0.5 is refused, not truncated to 0, and 1.0 reads as 1
+    with pytest.raises(ValueError, match="shifts must be an integer"):
+        shifts_avoid_overlap((0, 0, 0.5), (1, 2, 3))
+    assert shifts_avoid_overlap((0, 0, 1.0), (1, 2, 3)) == shifts_avoid_overlap((0, 0, 1), (1, 2, 3))
 
 
 def test_violated_condition_example_collides():
@@ -215,7 +219,7 @@ def test_violated_condition_example_collides():
     # this shift vector produce a real support collision
     from csforge import known_seed
 
-    p = EncoderParams.basic(m=3, H=4, pi=(1, 2, 3), d=(1, 0, 5), seed=known_seed(3))
+    p = EncoderParams(m=3, H=4, pi=(1, 2, 3), d=(1, 0, 5), seed=known_seed(3))
     assert encode_pair(p).overlap
     assert is_gcp(encode_pair(p).c, encode_pair(p).d).ok
 

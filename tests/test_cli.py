@@ -147,6 +147,16 @@ def test_params_file_takes_integral_floats(tmp_path, capsys):
     assert ints[0] == 0 and floats == ints
 
 
+def test_null_knob_takes_its_default(tmp_path, capsys):
+    doc = multilevel_doc()
+    del doc["pi"]
+    missing = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    nulls = run_cli(capsys, "encode", "--params", write_params(
+        tmp_path, {**doc, "pi": None, "k": None, "e_prime": None, "seed": None}))
+    assert missing[0] == 0 and nulls == missing
+    assert json.loads(missing[1])[0]["params"]["pi"] == [1, 2, 3]
+
+
 def test_negative_scientific_values_are_values(capsys):
     base = ["encode", "--m", "2", "--H", "4"]
     spaced = run_cli(capsys, *base, "--e-prime", "-1e-1", "--e", "-1.5E-1,0")
@@ -169,6 +179,23 @@ def test_usage_errors_are_one_line(capsys, argv):
     assert exc.value.code == 2
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("csforge") and ": error: " in out.err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_the_parser_intact(capsys):
+    argv = ["encode", "--m", "3", "--H", "4", "--pi", "2,1,3", "--k", "1,0,3"]
+    alone = run_cli(capsys, *argv)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["encode", "--m", "two"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.count("\n") == 1 and "--m" in err
+        assert run_cli(capsys, *argv) == alone
+    assert alone[0] == 0
 
 
 def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
@@ -238,14 +265,19 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
 def test_verify_rejects_non_finite_values(tmp_path, capsys):
     path = write_params(tmp_path, multilevel_doc())
     _, out, _ = run_cli(capsys, "encode", "--params", path)
-    records = json.loads(out)
-    records[0]["values"]["re"][2] = float("nan")
-    bad_file = tmp_path / "nan.json"
-    bad_file.write_text(json.dumps(records))
-    code, out, err = run_cli(capsys, "verify", str(bad_file))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "non-finite" in err
+    # 1e160 is finite, but the record's power (2 * length * energy) overflows
+    for value in (float("nan"), 1e160):
+        records = json.loads(out)
+        records[0]["values"]["re"][2] = value
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(records))
+        for command in ("verify", "papr"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, bad_out, err = run_cli(capsys, command, str(bad_file))
+            assert code == 2
+            assert bad_out == ""
+            assert err.count("\n") == 1 and "non-finite" in err
 
 
 def test_verify_reports_gap_layout(tmp_path, capsys):

@@ -29,7 +29,7 @@ E1 = (2.0 / math.pi) * math.log(3.0)
 
 
 def multilevel_params(seed=None, d=None):
-    return EncoderParams.basic(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), seed=seed, d=d)
+    return EncoderParams(m=3, H=4, pi=(2, 1, 3), e=(E1, 0, 0), seed=seed, d=d)
 
 
 def test_component_tables_of_worked_configuration():
@@ -41,7 +41,7 @@ def test_component_tables_of_worked_configuration():
 
 
 def test_zero_amplitude_knobs_give_zero_function():
-    p = EncoderParams.basic(m=3, H=4)
+    p = EncoderParams(m=3, H=4)
     comp = component_functions(p)
     assert np.array_equal(comp.amp_c.table(), np.zeros(8))
     assert np.array_equal(comp.amp_d.table(), np.zeros(8))
@@ -67,7 +67,7 @@ def test_golden_blockwise_reversed_order():
     # reversing pi moves the amplitude knob to the mirrored step
     a = np.array([1, 1j, 1, 1, 1, -1])
     b = np.array([1, 1j, 1, -1, -1, 1])
-    p = EncoderParams.basic(m=3, H=4, pi=(3, 1, 2), e=(0, E1, 0), seed=(a, b))
+    p = EncoderParams(m=3, H=4, pi=(3, 1, 2), e=(0, E1, 0), seed=(a, b))
     res = encode_pair(p)
     expected = np.concatenate([a, b, 3 * a, 3 * b, 3 * a, -3 * b, -a, b])
     assert pair_matches(expected, res.c.values)
@@ -89,19 +89,19 @@ def test_golden_two_cluster_layout():
 
 
 def test_trivial_single_step_pair():
-    res = encode_pair(EncoderParams.basic(m=1, H=2))
+    res = encode_pair(EncoderParams(m=1, H=2))
     assert pair_matches([1, 1], res.c.values)
     assert pair_matches([1, -1], res.d.values)
 
 
 def test_direct_recursion_single_step():
-    c, d = run_recursion(RecursionParams.neutral(1, 2))
+    c, d = run_recursion(RecursionParams(H=2, psi=(0,)))
     assert pair_matches([1, 1], c.values)
     assert pair_matches([1, -1], d.values)
 
 
 def test_direct_recursion_reproduces_golden_vector():
-    rp = RecursionParams.neutral(3, 4, psi=(1, 2, 0), scale_b=(E1, 0.0, 0.0))
+    rp = RecursionParams(H=4, psi=(1, 2, 0), scale_b=(E1, 0.0, 0.0))
     c, _ = run_recursion(rp)
     assert pair_matches([1, 1, 3, 3, 3, -3, -1, 1], c.values)
     converted = recursion_to_encoder(rp)
@@ -110,7 +110,7 @@ def test_direct_recursion_reproduces_golden_vector():
 
 
 def test_conversion_identity_on_neutral_params():
-    rp = RecursionParams.neutral(4, 4, psi=(3, 2, 1, 0))
+    rp = RecursionParams(H=4, psi=(3, 2, 1, 0))
     p = recursion_to_encoder(rp)
     assert p.pi == (1, 2, 3, 4)
     assert p.e == (0.0,) * 4
@@ -121,7 +121,7 @@ def test_conversion_identity_on_neutral_params():
 
 def test_conversion_single_scale_knob():
     target = (4.0 / (2.0 * math.pi)) * math.log(3.0)
-    rp = RecursionParams.neutral(3, 4, scale_b=(0.0, target, 0.0))
+    rp = RecursionParams(H=4, psi=(0, 1, 2), scale_b=(0.0, target, 0.0))
     p = recursion_to_encoder(rp)
     assert p.e == (0.0, pytest.approx(target), 0.0)
     assert p.e_prime == 0.0
@@ -147,7 +147,7 @@ def test_length_formula():
 
 
 def test_overlap_is_summed_and_flagged():
-    p = EncoderParams.basic(m=2, H=4, pi=(1, 2), d=(0, 1))
+    p = EncoderParams(m=2, H=4, pi=(1, 2), d=(0, 1))
     assert not shifts_avoid_overlap(p.d, p.pi)
     res = encode_pair(p)
     assert res.overlap
@@ -200,17 +200,17 @@ def test_seed_validation():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        EncoderParams.basic(m=2, H=3)  # odd modulus
+        EncoderParams(m=2, H=3)  # odd modulus
     with pytest.raises(ValueError):
-        EncoderParams.basic(m=2, H=4, pi=(1, 1))
+        EncoderParams(m=2, H=4, pi=(1, 1))
     with pytest.raises(ValueError):
-        EncoderParams.basic(m=2, H=4, d=(-1, 0))
+        EncoderParams(m=2, H=4, d=(-1, 0))
     with pytest.raises(ValueError):
-        EncoderParams.basic(m=2, H=4, e=(0.0,))
+        EncoderParams(m=2, H=4, e=(0.0,))
 
 
 def test_phase_normalization():
-    p = EncoderParams.basic(m=2, H=4, k=(5.0, -1.0), k_prime=9.0, k_dprime=-0.5)
+    p = EncoderParams(m=2, H=4, k=(5.0, -1.0), k_prime=9.0, k_dprime=-0.5)
     assert p.k == (1.0, 3.0)
     assert p.k_prime == 1.0
     assert p.k_dprime == 3.5
@@ -242,13 +242,13 @@ def test_oracle_equivalence_at_max_vars():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(knob, value):
     with pytest.raises(ValueError, match="finite"):
-        EncoderParams.basic(m=2, H=4, **{knob: (value, 0.0) if knob in ("e", "k") else value})
+        EncoderParams(m=2, H=4, **{knob: (value, 0.0) if knob in ("e", "k") else value})
 
 
 @pytest.mark.parametrize("knob", ["scale_a", "scale_b", "phase_a", "phase_b", "phase_joint"])
 def test_recursion_params_reject_non_finite(knob):
     with pytest.raises(ValueError, match="finite"):
-        RecursionParams.neutral(2, 4, **{knob: (0.0, math.nan)})
+        RecursionParams(H=4, psi=(0, 1), **{knob: (0.0, math.nan)})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -256,32 +256,32 @@ def test_recursion_params_reject_non_finite(knob):
 ])
 def test_params_reject_non_integral(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        EncoderParams.basic(m=2, H=4).replace(**{field: value})
+        replace(EncoderParams(m=2, H=4), **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [("H", 4.5), ("psi", (0.5, 1)), ("shifts", (0.9, 0))])
 def test_recursion_params_reject_non_integral(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        replace(RecursionParams.neutral(2, 4), **{field: value})
+        replace(RecursionParams(H=4, psi=(0, 1)), **{field: value})
 
 
 def test_params_take_integral_floats():
-    p = EncoderParams.basic(m=2, H=4).replace(m=2.0, H=4.0, pi=(2.0, 1.0), d=(np.float64(1), 0.0))
-    assert p == EncoderParams.basic(m=2, H=4, pi=(2, 1), d=(1, 0))
+    p = replace(EncoderParams(m=2, H=4), m=2.0, H=4.0, pi=(2.0, 1.0), d=(np.float64(1), 0.0))
+    assert p == EncoderParams(m=2, H=4, pi=(2, 1), d=(1, 0))
     assert all(type(v) is int for v in (p.m, p.H, *p.pi, *p.d))
-    rp = replace(RecursionParams.neutral(2, 4), H=4.0, psi=(1.0, 0.0), shifts=(2.0, 0.0))
-    assert rp == RecursionParams.neutral(2, 4, psi=(1, 0), shifts=(2, 0))
+    rp = replace(RecursionParams(H=4, psi=(0, 1)), H=4.0, psi=(1.0, 0.0), shifts=(2.0, 0.0))
+    assert rp == RecursionParams(H=4, psi=(1, 0), shifts=(2, 0))
 
 
 @pytest.mark.parametrize("e_prime", [1000.0, 300.0, -1e300])
 def test_unrepresentable_power_is_rejected(e_prime):
     with pytest.raises(ValueError, match="power"):
-        encode_pair(EncoderParams.basic(m=2, H=4, e_prime=e_prime))
+        encode_pair(EncoderParams(m=2, H=4, e_prime=e_prime))
 
 
 def test_length_guard():
     with pytest.raises(SequenceLengthError):
-        EncoderParams.basic(m=2, H=4, d=(10**9, 0))
+        EncoderParams(m=2, H=4, d=(10**9, 0))
     with pytest.raises(SequenceLengthError):
-        RecursionParams.neutral(2, 4, shifts=(0, MAX_SEQUENCE_LENGTH))
-    EncoderParams.basic(m=2, H=4, d=(MAX_SEQUENCE_LENGTH - 4, 0))  # exactly at the limit
+        RecursionParams(H=4, psi=(0, 1), shifts=(0, MAX_SEQUENCE_LENGTH))
+    EncoderParams(m=2, H=4, d=(MAX_SEQUENCE_LENGTH - 4, 0))  # exactly at the limit
