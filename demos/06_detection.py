@@ -17,12 +17,7 @@ for point, ber in zip(report.ebn0_db, report.ber):
     print(f"  Eb/N0 {point:+6.1f} dB: simulated {ber:.4f}, analytic {analytic:.4f}")
 
 print("\nquaternary codebook from the green rule (s=1, m=2): 64 words, 6 bits")
-seen, words = set(), []
-for _, values in qam.enumerate_rule("green", 1, 2):
-    key = qam.sequence_key(values)
-    if key not in seen:
-        seen.add(key)
-        words.append(values)
+words = list(qam.distinct_values("green", 1, 2))
 
 report = min_distance_sim(words, [float("inf"), 0.0, 4.0], trials=20_000, rng_seed=3)
 for point, ber in zip(report.ebn0_db, report.ber):

@@ -25,16 +25,17 @@ from .encoder import (
     RecursionParams,
     SeedPair,
     component_functions,
+    encode_family,
     encode_pair,
     known_seed,
     recursion_to_encoder,
     run_recursion,
 )
 from .qam import (
-    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_sequences,
+    distinct_values,
     enumerate_rule,
     is_qam_point,
     lattice_geometry,
@@ -57,7 +58,6 @@ __all__ = [
     "EncoderParams",
     "GcpCheck",
     "PowerTrace",
-    "QamGeometry",
     "RecursionParams",
     "RuleSpec",
     "SeedPair",
@@ -68,6 +68,8 @@ __all__ = [
     "construction_function",
     "count_sequences",
     "distinct_sequences",
+    "distinct_values",
+    "encode_family",
     "encode_pair",
     "enumerate_rule",
     "expand_recursion",

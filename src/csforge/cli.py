@@ -20,7 +20,7 @@ import numpy as np
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
-from .sequences import ComplexSequence
+from .sequences import ComplexSequence, integral
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
 
 EXIT_OK = 0
@@ -142,9 +142,17 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
 # -- argument helpers ---------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer literal, or an integral float literal such as 1.0 or 1e3."""
+    try:
+        return int(text)
+    except ValueError:
+        return integral(float(text), "entry")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(_integer(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
         raise InputError(f"bad integer list {text!r}") from exc
 
@@ -298,9 +306,11 @@ def cmd_enumerate(args) -> int:
     if args.dedup:
         if args.rule not in qam.RULES:
             raise InputError("--dedup applies to a single rule")
-        if args.N != 1:
-            raise InputError("--dedup runs on the length-1 seed family only")
-        distinct = qam.distinct_sequences(args.rule, args.s, args.m)
+        try:
+            seed = known_seed(args.N)
+        except ValueError as exc:
+            raise InputError(f"--dedup walks the stock seeds only, --N 1..4: {exc}") from exc
+        distinct = qam.distinct_sequences(args.rule, args.s, args.m, seed=seed)
         report["dedup"] = distinct
         report["dedup_matches_formula"] = distinct == count.count
     _emit(report, args.out)
@@ -427,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--rule", default="total", choices=qam.RULES + ("total",))
     enu.add_argument("--s", type=int, required=True)
     enu.add_argument("--m", type=int, required=True)
-    enu.add_argument("--N", type=int, default=1, help="seed length class")
+    enu.add_argument("--N", type=int, default=1,
+                     help="seed length class; --dedup walks the stock seed of this length (1..4)")
     enu.add_argument("--dedup", action="store_true",
                      help="also count distinct sequences exhaustively")
     enu.add_argument("--out")

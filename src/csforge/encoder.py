@@ -26,11 +26,13 @@ __all__ = [
     "ComponentFunctions",
     "EncodedPair",
     "EncoderParams",
+    "FAMILY_CHUNK_BYTES",
     "MAX_SEQUENCE_LENGTH",
     "RecursionParams",
     "SeedPair",
     "SequenceLengthError",
     "component_functions",
+    "encode_family",
     "encode_pair",
     "known_seed",
     "recursion_to_encoder",
@@ -268,6 +270,77 @@ class EncodedPair(NamedTuple):
     overlap: bool
 
 
+# Scratch memory ``encode_family`` may use at once; rows are encoded in
+# chunks that fit it (the (B, L) result is the caller's).
+FAMILY_CHUNK_BYTES = 16 << 20
+
+
+class _Tables(NamedTuple):
+    """The parts of one encoding that the linear phase does not touch."""
+
+    bits: np.ndarray  # (2^m, m): column n holds b_(n+1) of block x
+    amp_c: np.ndarray  # amplitude exponents per block
+    amp_d: np.ndarray
+    quad_c: np.ndarray  # (H/2) q per block; callers add sum k_n b_n and k'
+    quad_d: np.ndarray  # (H/2) (b_m xor (q mod 2)); callers add sum k_n b_n and k''
+    blocks: np.ndarray  # (2^m, N): the seed copy of each block
+    positions: np.ndarray  # (2^m * N,): where each block element lands
+    total: int  # output length
+
+
+def _tables(p: EncoderParams) -> _Tables:
+    """Read the phase-free tables off the index bits b_n = bit pi_n of x.
+
+    Raises ValueError when the pair's power is zero or overflows.  The power
+    2 * length * (energy of c + energy of d) bounds every autocorrelation
+    sum and envelope power.  It does not depend on the phases: the energy
+    of c plus that of d is the sum over blocks of the seed copy's energy
+    times |coefficient of c|^2 + |coefficient of d|^2, whether copies
+    overlap or not (each recursion step scales the pair's energy by the
+    sum of its two squared scales), so it is computed from the amplitudes.
+    """
+    m = p.m
+    x = np.arange(1 << m)
+    bits = (x[:, None] >> (m - np.asarray(p.pi))) & 1
+    top = bits[:, -1]
+    quad = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
+    n_seed = len(p.seed)
+    total = n_seed * len(x) + sum(p.d)
+    positions = ((bits @ np.asarray(p.d) + x * n_seed)[:, None] + np.arange(n_seed)).ravel()
+    blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[:, 0]]
+    w = 2.0 * math.pi / p.H
+    e = np.asarray(p.e)
+    # huge amplitude exponents overflow to inf or nan here; the power check rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair_sum = (bits[:, :-1] ^ bits[:, 1:]) @ e[:-1] + p.e_prime
+        amp_c = e[-1] * top + pair_sum
+        amp_d = e[-1] * (1 - top) + pair_sum
+        scale = np.exp(2 * w * amp_c) + np.exp(2 * w * amp_d)
+        power = 2.0 * total * np.vdot(blocks, blocks * scale[:, None]).real
+    if not 0.0 < power < math.inf:
+        raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
+    return _Tables(bits, amp_c, amp_d, p.H / 2 * quad, p.H / 2 * (top ^ (quad & 1)),
+                   blocks, positions, total)
+
+
+def _place(t: _Tables, H: int, amp, phase) -> np.ndarray:
+    """Scale each row's seed copies by exp(w amp + j w phase) and sum them into place.
+
+    ``phase`` holds one row of block phases per output; the result has one
+    row of length ``t.total`` per phase row.
+    """
+    w = 2.0 * math.pi / H
+    coef = np.exp(w * amp + 1j * w * np.mod(phase, H))
+    values = (t.blocks * coef[:, :, None]).reshape(len(phase), -1)
+    index = t.positions
+    if len(phase) > 1:
+        index = (np.arange(len(phase))[:, None] * t.total + index).ravel()
+    size = len(phase) * t.total
+    out = (np.bincount(index, weights=values.real.ravel(), minlength=size)
+           + 1j * np.bincount(index, weights=values.imag.ravel(), minlength=size))
+    return out.reshape(len(phase), t.total)
+
+
 def encode_pair(params: EncoderParams) -> EncodedPair:
     """Synthesize a complementary pair of length N * 2^m + sum(d).
 
@@ -289,40 +362,47 @@ def encode_pair(params: EncoderParams) -> EncodedPair:
     the same tables symbolically and serves as the oracle for this one.
     """
     p = params
-    m = p.m
-    x = np.arange(1 << m)
-    bits = (x[:, None] >> (m - np.asarray(p.pi))) & 1  # column n holds b_(n+1)
-    top = bits[:, -1]
-    quad = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
-    linear = bits @ np.asarray(p.k)
-    n_seed = len(p.seed)
-    total = n_seed * len(x) + sum(p.d)
-    positions = ((bits @ np.asarray(p.d) + x * n_seed)[:, None] + np.arange(n_seed)).ravel()
-    blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[:, 0]]
-    w = 2.0 * math.pi / p.H
-
-    def place(amp, phase):
-        values = blocks * np.exp(w * amp + 1j * w * np.mod(phase, p.H))[:, None]
-        return (np.bincount(positions, weights=values.real.ravel(), minlength=total)
-                + 1j * np.bincount(positions, weights=values.imag.ravel(), minlength=total))
-
-    e = np.asarray(p.e)
-    # huge amplitude exponents overflow to inf or nan here; the power check rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair_sum = (bits[:, :-1] ^ bits[:, 1:]) @ e[:-1] + p.e_prime
-        c = place(e[-1] * top + pair_sum, p.H / 2 * quad + linear + p.k_prime)
-        d = place(e[-1] * (1 - top) + pair_sum,
-                  p.H / 2 * (top ^ (quad & 1)) + linear + p.k_dprime)
-        # 2 * length * energy bounds every autocorrelation sum and envelope power
-        power = 2.0 * total * (np.vdot(c, c).real + np.vdot(d, d).real)
-    if not 0.0 < power < math.inf:
-        raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
-
+    t = _tables(p)
+    linear = t.bits @ np.asarray(p.k)
+    c = _place(t, p.H, t.amp_c, (t.quad_c + linear + p.k_prime)[None])[0]
+    d = _place(t, p.H, t.amp_d, (t.quad_d + linear + p.k_dprime)[None])[0]
     return EncodedPair(
         c=ComplexSequence(c),
         d=ComplexSequence(d),
-        overlap=bool(np.max(np.bincount(positions, minlength=total)) > 1),
+        overlap=bool(np.max(np.bincount(t.positions, minlength=t.total)) > 1),
     )
+
+
+def encode_family(params: EncoderParams, K, z) -> np.ndarray:
+    """First outputs of a whole phase family, one row per member.
+
+    Row b is ``encode_pair(params).c.values`` with the phase steps k + K[b]
+    and both constants k' + z[b] and k'' + z[b]: only the linear phase
+    sum k_n b_n + k' moves between members, so the amplitude, quadratic,
+    position and seed tables are built once, and all rows take one
+    ``K @ bits.T`` product.  Rows agree with the scalar path to rounding.
+    Rows are encoded in chunks under ``FAMILY_CHUNK_BYTES`` of scratch
+    memory.  Raises the power ValueError that ``encode_pair`` raises.
+    """
+    p = params
+    K = np.asarray(K, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if K.ndim != 2 or K.shape[1] != p.m or z.shape != (len(K),):
+        raise ValueError(f"K must be (B, {p.m}) and z (B,), got {K.shape} and {z.shape}")
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(z))):
+        raise ValueError("K and z must be finite")
+    t = _tables(p)
+    base = t.quad_c + t.bits @ np.asarray(p.k) + p.k_prime
+    out = np.empty((len(K), t.total), dtype=complex)
+    # per row: phases and coefficients per block, values, weights and index
+    # per element, two bincount sums and the complex result per output slot
+    row_bytes = 56 * len(t.bits) + 48 * t.positions.size + 32 * t.total
+    rows = max(1, FAMILY_CHUNK_BYTES // row_bytes)
+    for lo in range(0, len(K), rows):
+        chunk = slice(lo, lo + rows)
+        phase = base + K[chunk] @ t.bits.T + z[chunk, None]
+        out[chunk] = _place(t, p.H, t.amp_c, phase)
+    return out
 
 
 def run_recursion(params: RecursionParams) -> tuple[ComplexSequence, ComplexSequence]:

@@ -25,20 +25,24 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, RecursionParams, SeedPair, encode_pair, recursion_to_encoder
-from .sequences import finite_steps, permutation
+# encode_pair and recursion_to_encoder are not called here; they stay bound in
+# this module because perfbench/tracing.py wraps them under these names
+from .encoder import (  # noqa: F401
+    EncoderParams, SeedPair, encode_family, encode_pair, recursion_to_encoder,
+)
+from .sequences import finite_steps
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
     "ENUM_GUARD_ENV",
     "EnumerationLimitError",
     "Geometry",
-    "QamGeometry",
+    "MAX_WALK_BYTES",
     "RULES",
     "RuleCount",
     "RuleEntry",
@@ -70,6 +74,9 @@ _SCALE = 4.0 / (2.0 * math.pi)
 
 ENUM_GUARD_ENV = "CS_FORGE_MAX_ENUM"
 DEFAULT_ENUM_GUARD = 10_000_000
+# Most bytes the walk's outputs may take, at 16 per complex element; this
+# bounds the dedup key set and every block the walk yields
+MAX_WALK_BYTES = 1 << 28
 
 QAM_POINT_TOL = 1e-6
 
@@ -97,38 +104,6 @@ def lattice_geometry(u: int, v: int) -> Geometry:
     theta = math.atan2(im, re)
     phi = math.pi / 4 - theta
     return Geometry(distance, distance / math.sqrt(2.0), theta, phi, 2 * phi)
-
-
-@dataclass(frozen=True)
-class QamGeometry:
-    """Derived structure of the 4s^2-point lattice."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be a positive integer")
-
-    @property
-    def n_quadrant(self) -> int:
-        return self.s**2
-
-    @property
-    def n_diagonal(self) -> int:
-        return self.s
-
-    @property
-    def n_offdiagonal(self) -> int:
-        return self.s * (self.s - 1) // 2
-
-    @property
-    def n_triangle(self) -> int:
-        return self.s * (self.s + 1) // 2
-
-    def geometry(self, u: int, v: int) -> Geometry:
-        if not (1 <= u <= self.s and 1 <= v <= self.s):
-            raise ValueError(f"indices ({u}, {v}) out of range for s={self.s}")
-        return lattice_geometry(u, v)
 
 
 def lattice_points(s: int) -> np.ndarray:
@@ -185,27 +160,29 @@ def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
 
 
 def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
-    """Scale and rotate each half at step ell; half_x is (scale, phase)."""
+    """Scale and rotate each half at step ell; half_x is (scale, phase).
+
+    ``recursion_to_encoder`` of a recursion whose only scales and rotations
+    sit at step ell, with phase_joint = k: the amplitude difference lands on
+    e[ell-1], the rotations telescope into k[ell-1] and k[ell], and the
+    rotation of half a becomes the constant phase.
+    """
     if not 1 <= ell <= m:
         raise ValueError(f"ell={ell} out of range 1..{m}")
-
-    def at_ell(value):
-        steps = [0.0] * m
-        steps[ell - 1] = value
-        return tuple(steps)
-
-    rp = RecursionParams(
-        RULE_MODULUS,
-        psi=tuple(m - p for p in permutation(pi, m, 1, "pi")),
-        scale_a=at_ell(half_a[0]),
-        scale_b=at_ell(half_b[0]),
-        phase_a=at_ell(half_a[1]),
-        phase_b=at_ell(half_b[1]),
-        phase_joint=finite_steps(k, m, "k"),
-        seed=seed,
+    (scale_a, phase_a), (scale_b, phase_b) = half_a, half_b
+    e = [0.0] * m
+    e[ell - 1] = scale_b - scale_a
+    steps = list(finite_steps(k, m, "k"))
+    steps[ell - 1] = steps[ell - 1] + phase_b - phase_a
+    if ell < m:
+        steps[ell] = steps[ell] - phase_b - phase_a
+    # the constants are reduced before z is added, which gives the same
+    # floats as recursion_to_encoder followed by adding z
+    return EncoderParams(
+        m, RULE_MODULUS, pi, e=e, e_prime=scale_a, k=steps,
+        k_prime=phase_a % RULE_MODULUS + z,
+        k_dprime=(phase_a if ell < m else -phase_b) % RULE_MODULUS + z, seed=seed,
     )
-    params = recursion_to_encoder(rp)
-    return replace(params, k_prime=params.k_prime + z, k_dprime=params.k_dprime + z)
 
 
 def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
@@ -437,10 +414,14 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
 # -- exhaustive enumeration ---------------------------------------------------
 
 
+def _key_values(values) -> np.ndarray:
+    """Values rounded to 12 decimals, with -0.0 made 0.0."""
+    return np.round(np.asarray(values, dtype=complex), 12) + 0.0
+
+
 def sequence_key(values) -> bytes:
     """Canonical dedup key: values rounded to 12 decimals, zero-normalized."""
-    arr = np.round(np.asarray(values, dtype=complex), 12) + 0.0
-    return arr.tobytes()
+    return _key_values(values).tobytes()
 
 
 def _enum_guard(guard: int | None) -> int:
@@ -461,6 +442,14 @@ def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     return len(entry.choices(s)) * n_ells * n_pis * 4 ** (m + 1)
 
 
+def _phase_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (k, z) in 4^m x 4: k in lexicographic order, z fastest."""
+    digits = (np.arange(4**m)[:, None] >> (2 * np.arange(m - 1, -1, -1))) & 3
+    K, z = np.repeat(digits, 4, axis=0), np.tile(np.arange(4), 4**m)
+    K.flags.writeable = z.flags.writeable = False
+    return K, z
+
+
 def enumerate_rule(
     rule: str,
     s: int,
@@ -469,12 +458,19 @@ def enumerate_rule(
     ells: Iterable[int] | None = None,
     seed: SeedPair | None = None,
     guard: int | None = None,
-) -> Iterator[tuple[EncoderParams, np.ndarray]]:
+) -> Iterator[tuple[EncoderParams, np.ndarray, np.ndarray, np.ndarray]]:
     """Walk every admitted parameter combination in lexicographic order.
 
-    Yields (params, first-output values).  Raises EnumerationLimitError when
-    the raw combination count exceeds the guard (default 1e7, overridable
-    via the CS_FORGE_MAX_ENUM environment variable).
+    Yields one (params, K, z, values) block per (choice, ell, pi) group:
+    ``params`` is the group's member with k = 0 and z = 0, and row i of
+    ``values`` is the first output of the member built with k = K[i] and
+    z = z[i].  Blocks come in the order choice, ell, pi; rows in the order
+    k (lexicographic, orange's k[ell-1] last), then z.
+
+    Raises EnumerationLimitError before any encode when the raw combination
+    count exceeds the guard (default 1e7, overridable via the
+    CS_FORGE_MAX_ENUM environment variable), or when the walk's outputs
+    would take more than MAX_WALK_BYTES.
     """
     entry = rule_entry(rule)
     pis = [tuple(p) for p in pis] if pis is not None else list(
@@ -487,29 +483,45 @@ def enumerate_rule(
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
+    length = (1 if seed is None else len(seed)) << m
+    if size * length * 16 > MAX_WALK_BYTES:
+        raise EnumerationLimitError(
+            f"{rule} enumeration at s={s}, m={m} holds {size} sequences of length {length}, "
+            f"{size * length * 16} bytes; the limit is {MAX_WALK_BYTES}"
+        )
     build = entry.build
+    K, z = _phase_grid(m)
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
     for choice in entry.choices(s):
         for step in steps:
             fixed = dict(choice, **step, s=s, m=m, seed=seed)
+            rows = K
+            if entry.phase_last:
+                ell = step["ell"]
+                rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
+                rows.flags.writeable = False
             for pi in pis:
-                for k in itertools.product(range(4), repeat=m):
-                    if entry.phase_last:
-                        ell = step["ell"]
-                        k = k[: ell - 1] + k[-1:] + k[ell - 1 : -1]
-                    for z in range(4):
-                        params = build(pi=pi, k=k, z=z, **fixed)
-                        yield params, encode_pair(params).c.values
+                params = build(pi=pi, k=None, z=0, **fixed)
+                values = encode_family(params, rows, z)
+                values.flags.writeable = False
+                yield params, rows, z, values
 
 
 def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
-    """First outputs of the walk, each distinct sequence once, in walk order."""
+    """First outputs of the walk, each distinct sequence once, in walk order.
+
+    Each row is keyed by the bytes ``sequence_key`` gives it, computed for
+    the whole block at once.
+    """
     seen: set[bytes] = set()
-    for _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
-        key = sequence_key(values)
-        if key not in seen:
-            seen.add(key)
-            yield values
+    for _, _, _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
+        keys = _key_values(values).tobytes()
+        width = len(keys) // len(values)
+        for start in range(0, len(keys), width):
+            key = keys[start : start + width]
+            if key not in seen:
+                seen.add(key)
+                yield values[start // width]
 
 
 def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolean import BooleanPolynomial
-from .sequences import permutation
+from .sequences import integral, permutation
 
 __all__ = [
     "MAX_SYMBOLIC_VARS",
@@ -67,7 +67,7 @@ def pi_from_psi(psi: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_config(config) -> tuple[int, int, int, int]:
-    config = tuple(int(v) for v in config)
+    config = tuple(integral(v, "configuration entry") for v in config)
     if len(config) != 4 or any(v not in (0, 1) for v in config):
         raise ValueError(f"configuration vector must be four bits, got {config}")
     return config

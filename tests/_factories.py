@@ -1,11 +1,20 @@
-"""Shared builders for randomized test parameters, and a reference encoder."""
+"""Shared builders for randomized test parameters, a reference encoder and a reference walk."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
-from csforge import ComplexSequence, EncodedPair, EncoderParams, RecursionParams, known_seed
+from csforge import (
+    ComplexSequence,
+    EncodedPair,
+    EncoderParams,
+    RecursionParams,
+    encode_pair,
+    known_seed,
+    qam,
+)
 from csforge.encoder import component_functions
 
 
@@ -109,3 +118,35 @@ def reference_encode(params):
         d_out[start : start + n_seed] += block * cmath.exp(w * amp_d[x] + 1j * w * (phase_d[x] % p.H))
         occupancy[start : start + n_seed] += 1
     return EncodedPair(ComplexSequence(c_out), ComplexSequence(d_out), bool(np.any(occupancy > 1)))
+
+
+def reference_walk(rule, s, m, seed=None, pis=None):
+    """The exhaustive walk one member at a time, as ``qam.enumerate_rule`` once ran it.
+
+    Yields (k, z, params, first output) per member: every member is built
+    by the rule's builder and encoded by ``encode_pair``, in the order
+    choice, ell, pi, k (lexicographic, orange's k[ell-1] last), z.  ``pis``
+    limits the orders (default: all of them).
+    """
+    entry = qam.rule_entry(rule)
+    pis = pis if pis is not None else list(itertools.permutations(range(1, m + 1)))
+    steps = [{"ell": ell} for ell in range(1, m + 1)] if entry.has_ell else [{}]
+    for choice in entry.choices(s):
+        for step in steps:
+            fixed = dict(choice, **step, s=s, m=m, seed=seed)
+            for pi in pis:
+                for k in itertools.product(range(4), repeat=m):
+                    if entry.phase_last:
+                        ell = step["ell"]
+                        k = k[: ell - 1] + k[-1:] + k[ell - 1 : -1]
+                    for z in range(4):
+                        params = entry.build(pi=pi, k=k, z=z, **fixed)
+                        yield k, z, params, encode_pair(params).c.values
+
+
+def reference_distinct_keys(rule, s, m, seed=None, pis=None):
+    """``qam.sequence_key`` of each distinct first output of the reference walk, first seen first."""
+    seen = {}
+    for *_, values in reference_walk(rule, s, m, seed, pis):
+        seen.setdefault(qam.sequence_key(values), None)
+    return list(seen)

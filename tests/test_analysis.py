@@ -234,7 +234,9 @@ def test_condition_implies_disjoint_support():
 
 def test_power_trace_csv_round_trip(tmp_path):
     _, trace = papr_oversampled_db([1, 1j, -1], 4)
-    text = trace.to_csv()
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    text = buf.getvalue()
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["t_norm", "power"]
     assert len(rows) == 1 + len(trace.power)

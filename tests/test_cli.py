@@ -101,6 +101,24 @@ def test_encode_reports_overlap(capsys):
     assert [r["overlap"] for r in json.loads(out)] == [True, True]
 
 
+@pytest.mark.parametrize("flag, value, same", [("--pi", "1.0,2,3", "1,2,3"),
+                                               ("--d", "1.0,0,2e0", "1,0,2")])
+def test_integer_lists_take_integral_floats(capsys, flag, value, same):
+    code, out, _ = run_cli(capsys, "encode", "--m", "3", "--H", "4", flag, value)
+    assert code == 0
+    assert out == run_cli(capsys, "encode", "--m", "3", "--H", "4", flag, same)[1]
+
+
+@pytest.mark.parametrize("flag, value", [("--pi", "1.5,2,3"), ("--d", "0.5,0,0"),
+                                         ("--pi", "nan,2,3"), ("--indices", "1,1.5")])
+def test_integer_lists_refuse_fractions(capsys, flag, value):
+    extra = ("--rule", "green", "--s", "2") if flag == "--indices" else ("--H", "4")
+    code, out, err = run_cli(capsys, "encode", "--m", "3", *extra, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--e", "nan,0"], 2),
     (["--k", "inf,0"], 2),
@@ -331,6 +349,32 @@ def test_enumerate_dedup(capsys):
     report = json.loads(out)
     assert report["dedup"] == 64
     assert report["dedup_matches_formula"] is True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_dedup_walks_the_stock_seed(capsys, n):
+    code, out, _ = run_cli(capsys, "enumerate", "--rule", "yellow", "--s", "2", "--m", "2",
+                           "--N", str(n), "--dedup")
+    assert code == 0
+    report = json.loads(out)
+    assert report["n_class"] == "N>1" and report["length"] == 4 * n
+    assert report["dedup"] == report["count"] and report["dedup_matches_formula"] is True
+
+
+def test_enumerate_dedup_refuses_seed_lengths_above_four(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "2",
+                             "--N", "5", "--dedup")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--N" in err
+
+
+def test_enumerate_dedup_memory_guard_exit(capsys):
+    # 1,572,864 sequences of length 16: under the count guard, over the byte limit
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "8", "--m", "4", "--dedup")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "bytes" in err
 
 
 def test_enumerate_guard_exit(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from csforge import (
     RecursionParams,
     SeedPair,
     component_functions,
+    encode_family,
     encode_pair,
     is_gcp,
     known_seed,
@@ -23,7 +25,7 @@ from csforge import (
     run_recursion,
     shifts_avoid_overlap,
 )
-from csforge.encoder import MAX_SEQUENCE_LENGTH, SequenceLengthError
+from csforge.encoder import FAMILY_CHUNK_BYTES, MAX_SEQUENCE_LENGTH, SequenceLengthError
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -277,6 +279,53 @@ def test_params_take_integral_floats():
 def test_unrepresentable_power_is_rejected(e_prime):
     with pytest.raises(ValueError, match="power"):
         encode_pair(EncoderParams(m=2, H=4, e_prime=e_prime))
+    with pytest.raises(ValueError, match="power"):
+        encode_family(EncoderParams(m=2, H=4, e_prime=e_prime), np.zeros((3, 2)), np.zeros(3))
+
+
+def test_family_rows_match_scalar_encodes():
+    # any parameters, gaps and overlaps included, and real-valued phase shifts
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        p = random_encoder_params(rng, m_max=6, seed_lengths=(1, 2, 3, 4), shift_mode="mixed")
+        rows = int(rng.integers(1, 5))
+        K = rng.uniform(-p.H, 2 * p.H, (rows, p.m))
+        z = rng.uniform(-p.H, 2 * p.H, rows)
+        family = encode_family(p, K, z)
+        for i in range(rows):
+            member = replace(p, k=tuple(np.add(p.k, K[i])), k_prime=p.k_prime + z[i],
+                             k_dprime=p.k_dprime + z[i])
+            assert pair_matches(family[i], encode_pair(member).c.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("K, z", [
+    (np.zeros((2, 3)), np.zeros(2)),  # m = 2 columns needed
+    (np.zeros((2, 2)), np.zeros(3)),
+    (np.zeros(2), np.zeros(1)),
+    (np.array([[0.0, np.nan]]), np.zeros(1)),
+    (np.zeros((1, 2)), np.array([np.inf])),
+])
+def test_family_rejects_bad_phase_rows(K, z):
+    with pytest.raises(ValueError):
+        encode_family(EncoderParams(m=2, H=4), K, z)
+
+
+def test_family_memory_is_bounded():
+    # 16,384 rows of length 64: the (B, L) result takes 16 MiB, and encoding
+    # every row at once would need 80 MiB of scratch arrays
+    params = EncoderParams(m=6, H=4, e=(0.1,) * 6, k=(1, 0, 3, 2, 1, 0))
+    rows = 4**7
+    K = np.repeat(np.arange(4.0)[:, None], rows // 4, axis=0) * np.ones(6)
+    z = np.zeros(rows)
+    tracemalloc.start()
+    try:
+        out = encode_family(params, K, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, 64)
+    assert peak - out.nbytes <= FAMILY_CHUNK_BYTES
+    assert np.array_equal(out[-1], encode_family(params, K[-1:], z[-1:])[0])
 
 
 def test_length_guard():

@@ -1,15 +1,27 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csforge import encode_pair, is_gcp, qam
+from _factories import reference_distinct_keys, reference_walk
+from csforge import (
+    RecursionParams,
+    encode_family,
+    encode_pair,
+    is_gcp,
+    known_seed,
+    qam,
+    recursion_to_encoder,
+)
 from csforge.qam import (
     EnumerationLimitError,
-    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_sequences,
+    distinct_values,
     enumerate_rule,
     is_qam_point,
     lattice_geometry,
@@ -56,11 +68,6 @@ def test_geometry_identities_full_grid():
 
 def test_point_counts():
     for s in range(1, 9):
-        geo = QamGeometry(s)
-        assert geo.n_quadrant == s * s
-        assert geo.n_diagonal == s
-        assert geo.n_offdiagonal == s * (s - 1) // 2
-        assert geo.n_triangle == s * (s + 1) // 2
         assert len(lattice_points(s)) == 4 * s * s
 
 
@@ -214,12 +221,13 @@ def test_enumeration_guard(monkeypatch):
     [("green", 2, 2), ("yellow", 2, 2), ("blue", 2, 2), ("cyan", 3, 1), ("orange", 2, 2)],
 )
 def test_guard_formula_matches_walk(rule, s, m):
-    assert len(list(enumerate_rule(rule, s, m))) == qam.enumeration_size(rule, s, m)
+    rows = sum(len(values) for *_, values in enumerate_rule(rule, s, m))
+    assert rows == qam.enumeration_size(rule, s, m)
 
 
 def test_enumeration_is_deterministic():
-    first = [sequence_key(v) for _, v in enumerate_rule("green", 1, 1)]
-    second = [sequence_key(v) for _, v in enumerate_rule("green", 1, 1)]
+    first = [sequence_key(row) for *_, values in enumerate_rule("green", 1, 1) for row in values]
+    second = [sequence_key(row) for *_, values in enumerate_rule("green", 1, 1) for row in values]
     assert first == second
 
 
@@ -227,3 +235,147 @@ def test_sequence_key_normalizes():
     a = np.array([1.0 + 0j, -0.0 - 0.0j])
     b = np.array([1.0 + 1e-14j, 0.0 + 0.0j])
     assert sequence_key(a) == sequence_key(b)
+
+
+def _phases_agree(a, b, H=4, tol=1e-12):
+    """Phase steps equal mod H within ``tol``."""
+    gap = np.mod(np.subtract(a, b) + H / 2, H) - H / 2
+    return bool(np.all(np.abs(gap) <= tol))
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed, pis", [
+    ("green", 1, 2, 1, None), ("green", 2, 2, 3, None), ("yellow", 2, 2, 1, None),
+    ("yellow", 2, 2, 4, None), ("blue", 2, 2, 1, None), ("cyan", 3, 1, 2, None),
+    ("orange", 2, 2, 1, None), ("orange", 2, 3, 1, [(2, 3, 1)]),
+])
+def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
+    seed = known_seed(n_seed)
+    rows = [
+        (params, K[i], z[i], values[i])
+        for params, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
+        for i in range(len(K))
+    ]
+    reference = list(reference_walk(rule, s, m, seed, pis))
+    assert len(rows) == len(reference)
+    for (params, k, z, row), (ref_k, ref_z, member, expected) in zip(rows, reference):
+        assert tuple(k) == ref_k and z == ref_z
+        # the block's params differ from the member's in the linear phase only
+        assert replace(params, k=member.k, k_prime=member.k_prime, k_dprime=member.k_dprime) == member
+        assert _phases_agree(np.add(params.k, k), member.k)
+        assert _phases_agree(params.k_prime + z, member.k_prime)
+        assert _phases_agree(params.k_dprime + z, member.k_dprime)
+        assert np.max(np.abs(row - expected)) <= 1e-12
+        assert sequence_key(row) == sequence_key(expected)
+    keys = [sequence_key(v) for v in distinct_values(rule, s, m, pis=pis, seed=seed)]
+    assert keys == reference_distinct_keys(rule, s, m, seed, pis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_family_rows_match_members(data):
+    rule = data.draw(st.sampled_from(qam.RULES), label="rule")
+    entry = qam.rule_entry(rule)
+    s = data.draw(st.integers(3 if rule == "cyan" else 2, 4), label="s")
+    choice = data.draw(st.sampled_from(entry.choices(s)), label="choice")
+    m = data.draw(st.integers(1, 5), label="m")
+    step = {"ell": data.draw(st.integers(1, m), label="ell")} if entry.has_ell else {}
+    pi = tuple(data.draw(st.permutations(range(1, m + 1)), label="pi"))
+    seed = known_seed(data.draw(st.integers(1, 4), label="N"))
+    B = data.draw(st.integers(1, 6), label="rows")
+    phase = st.integers(-4, 7)
+    K = np.array(data.draw(st.lists(st.lists(phase, min_size=m, max_size=m),
+                                    min_size=B, max_size=B), label="K"))
+    z = np.array(data.draw(st.lists(phase, min_size=B, max_size=B), label="z"))
+    fixed = dict(choice, **step, s=s, m=m, pi=pi, seed=seed)
+    family = encode_family(entry.build(k=None, z=0, **fixed), K, z)
+    assert family.shape == (B, len(seed) << m)
+    for i in range(B):
+        expected = encode_pair(entry.build(k=tuple(K[i]), z=int(z[i]), **fixed)).c.values
+        assert np.max(np.abs(family[i] - expected)) <= 1e-12
+        assert sequence_key(family[i]) == sequence_key(expected)
+
+
+def _two_halves_oracle(s, ell, m, pi, k, z, seed, half_a, half_b):
+    """The rule's params through a RecursionParams and recursion_to_encoder."""
+    def at_ell(value):
+        steps = [0.0] * m
+        steps[ell - 1] = value
+        return tuple(steps)
+
+    rp = RecursionParams(
+        4, psi=tuple(m - p for p in pi), scale_a=at_ell(half_a[0]), scale_b=at_ell(half_b[0]),
+        phase_a=at_ell(half_a[1]), phase_b=at_ell(half_b[1]),
+        phase_joint=tuple(k) if k is not None else None, seed=seed,
+    )
+    params = recursion_to_encoder(rp)
+    return replace(params, k_prime=params.k_prime + z, k_dprime=params.k_dprime + z)
+
+
+def test_two_halves_matches_recursion_oracle(monkeypatch):
+    calls = []
+    two_halves = qam._two_halves
+
+    def spy(*args):
+        calls.append(args)
+        return two_halves(*args)
+
+    monkeypatch.setattr(qam, "_two_halves", spy)
+    rng = np.random.default_rng(6)
+    s = 3
+    for rule in ("yellow", "blue", "cyan"):
+        entry = qam.rule_entry(rule)
+        for m in range(1, 7):
+            for ell in range(1, m + 1):
+                for choice in entry.choices(s):
+                    pi = tuple(int(v) for v in rng.permutation(np.arange(1, m + 1)))
+                    k = tuple(rng.uniform(-4, 8, m)) if rng.integers(2) else None
+                    z = int(rng.integers(-4, 8))
+                    seed = known_seed(int(rng.integers(1, 5)))
+                    calls.clear()
+                    got = entry.build(s=s, ell=ell, m=m, pi=pi, k=k, z=z, seed=seed, **choice)
+                    (args,) = calls
+                    want = _two_halves_oracle(*args)
+                    assert (got.m, got.H, got.pi, got.d, got.seed) == (
+                        want.m, want.H, want.pi, want.d, want.seed)
+                    assert np.allclose(got.e, want.e, rtol=0, atol=1e-12)
+                    assert abs(got.e_prime - want.e_prime) <= 1e-12
+                    assert _phases_agree(got.k, want.k)
+                    assert _phases_agree(got.k_prime, want.k_prime)
+                    assert _phases_agree(got.k_dprime, want.k_dprime)
+
+
+def test_walk_memory_guard_raises_before_any_encode(monkeypatch):
+    encodes = []
+
+    def spy(params, K, z):
+        encodes.append(params)
+        return np.zeros((len(K), len(params.seed) << params.m), dtype=complex)
+
+    monkeypatch.setattr(qam, "encode_family", spy)
+    # green at s=8, m=4: 1,572,864 sequences of length 16 take 384 MiB, under the count guard
+    size = qam.enumeration_size("green", 8, 4)
+    assert size <= qam.DEFAULT_ENUM_GUARD and size * 16 * 16 > qam.MAX_WALK_BYTES
+    with pytest.raises(EnumerationLimitError, match="bytes"):
+        next(enumerate_rule("green", 8, 4))
+    # green at s=4, m=4: 393,216 sequences take 96 MiB at length 16 and 384 MiB at length 64
+    with pytest.raises(EnumerationLimitError, match="bytes"):
+        next(enumerate_rule("green", 4, 4, seed=known_seed(4)))
+    assert encodes == []
+    next(enumerate_rule("green", 4, 4))
+    assert len(encodes) == 1
+
+
+_EXHAUSTIVE = (
+    # s = 3 is cyan's first non-empty family
+    [(rule, 3, 2, 1) for rule in qam.RULES]
+    + [(rule, s, 4, 1) for rule in qam.RULES for s in (1, 2)]
+    # the N>1 class (A0 units), with the stock seeds of lengths 2 to 4
+    + [(rule, s, 2, n) for rule in qam.RULES for s in (1, 2, 3) for n in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed", _EXHAUSTIVE)
+def test_dedup_matches_formula_exhaustive(rule, s, m, n_seed):
+    n_class = "N=1" if n_seed == 1 else "N>1"
+    distinct = distinct_sequences(rule, s, m, seed=known_seed(n_seed))
+    assert distinct == count_sequences(rule, s, m, n_class).count

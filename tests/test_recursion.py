@@ -164,6 +164,16 @@ def test_validation_errors():
         expand_recursion([SIGN_CONFIG], (0, 1))
 
 
+def test_configuration_entries_are_not_truncated():
+    with pytest.raises(ValueError, match="integer"):
+        construction_function(1, (0.5, 0, 0, 1.9), (0, 1))
+    with pytest.raises(ValueError, match="integer"):
+        expand_recursion([(0.7, 0, 0, 1), (0, 0, 0, 1)], (0, 1))
+    # integral floats read as their integers
+    assert np.array_equal(construction_function(1, (0.0, 0, 0, 1.0), (0, 1)).table(),
+                          construction_function(1, SIGN_CONFIG, (0, 1)).table())
+
+
 def test_symbolic_size_cap():
     m = MAX_SYMBOLIC_VARS + 1
     with pytest.raises(ValueError):
