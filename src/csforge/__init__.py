@@ -32,6 +32,7 @@ from .encoder import (
     run_recursion,
 )
 from .qam import (
+    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_sequences,
@@ -58,6 +59,7 @@ __all__ = [
     "EncoderParams",
     "GcpCheck",
     "PowerTrace",
+    "QamGeometry",
     "RecursionParams",
     "RuleSpec",
     "SeedPair",

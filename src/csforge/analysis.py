@@ -8,6 +8,7 @@ OFDM symbol whose frequency coefficients are the sequence.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,6 +145,11 @@ class PowerTrace:
         writer.writerow(["t_norm", "power"])
         for t, p in zip(self.t_norm, self.power):
             writer.writerow([repr(float(t)), repr(float(p))])
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
 
 def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:

@@ -26,7 +26,6 @@ __all__ = [
     "ComponentFunctions",
     "EncodedPair",
     "EncoderParams",
-    "FAMILY_CHUNK_BYTES",
     "MAX_SEQUENCE_LENGTH",
     "RecursionParams",
     "SeedPair",
@@ -332,9 +331,7 @@ def _place(t: _Tables, H: int, amp, phase) -> np.ndarray:
     w = 2.0 * math.pi / H
     coef = np.exp(w * amp + 1j * w * np.mod(phase, H))
     values = (t.blocks * coef[:, :, None]).reshape(len(phase), -1)
-    index = t.positions
-    if len(phase) > 1:
-        index = (np.arange(len(phase))[:, None] * t.total + index).ravel()
+    index = (np.arange(len(phase))[:, None] * t.total + t.positions).ravel()
     size = len(phase) * t.total
     out = (np.bincount(index, weights=values.real.ravel(), minlength=size)
            + 1j * np.bincount(index, weights=values.imag.ravel(), minlength=size))

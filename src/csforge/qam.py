@@ -42,7 +42,8 @@ __all__ = [
     "ENUM_GUARD_ENV",
     "EnumerationLimitError",
     "Geometry",
-    "MAX_WALK_BYTES",
+    "MAX_DEDUP_BYTES",
+    "QamGeometry",
     "RULES",
     "RuleCount",
     "RuleEntry",
@@ -74,9 +75,14 @@ _SCALE = 4.0 / (2.0 * math.pi)
 
 ENUM_GUARD_ENV = "CS_FORGE_MAX_ENUM"
 DEFAULT_ENUM_GUARD = 10_000_000
-# Most bytes the walk's outputs may take, at 16 per complex element; this
-# bounds the dedup key set and every block the walk yields
-MAX_WALK_BYTES = 1 << 28
+# Most bytes the dedup key set may take, counted for every combination of
+# the walk as if all were distinct: each key holds 16 bytes per complex
+# element plus _KEY_OVERHEAD_BYTES for its bytes object and its set slot
+MAX_DEDUP_BYTES = 1 << 30
+# Largest per-key cost above the key's own bytes that tracemalloc shows for a
+# set of byte-string keys (CPython 3.11, 1,000 to 200,000 keys of 32 to 4,096
+# bytes): 140 bytes, at set sizes just past a table resize
+_KEY_OVERHEAD_BYTES = 144
 
 QAM_POINT_TOL = 1e-6
 
@@ -104,6 +110,38 @@ def lattice_geometry(u: int, v: int) -> Geometry:
     theta = math.atan2(im, re)
     phi = math.pi / 4 - theta
     return Geometry(distance, distance / math.sqrt(2.0), theta, phi, 2 * phi)
+
+
+@dataclass(frozen=True)
+class QamGeometry:
+    """Derived structure of the 4s^2-point lattice."""
+
+    s: int
+
+    def __post_init__(self):
+        if self.s < 1:
+            raise ValueError("s must be a positive integer")
+
+    @property
+    def n_quadrant(self) -> int:
+        return self.s**2
+
+    @property
+    def n_diagonal(self) -> int:
+        return self.s
+
+    @property
+    def n_offdiagonal(self) -> int:
+        return self.s * (self.s - 1) // 2
+
+    @property
+    def n_triangle(self) -> int:
+        return self.s * (self.s + 1) // 2
+
+    def geometry(self, u: int, v: int) -> Geometry:
+        if not (1 <= u <= self.s and 1 <= v <= self.s):
+            raise ValueError(f"indices ({u}, {v}) out of range for s={self.s}")
+        return lattice_geometry(u, v)
 
 
 def lattice_points(s: int) -> np.ndarray:
@@ -469,8 +507,7 @@ def enumerate_rule(
 
     Raises EnumerationLimitError before any encode when the raw combination
     count exceeds the guard (default 1e7, overridable via the
-    CS_FORGE_MAX_ENUM environment variable), or when the walk's outputs
-    would take more than MAX_WALK_BYTES.
+    CS_FORGE_MAX_ENUM environment variable).
     """
     entry = rule_entry(rule)
     pis = [tuple(p) for p in pis] if pis is not None else list(
@@ -482,12 +519,6 @@ def enumerate_rule(
     if size > limit:
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
-        )
-    length = (1 if seed is None else len(seed)) << m
-    if size * length * 16 > MAX_WALK_BYTES:
-        raise EnumerationLimitError(
-            f"{rule} enumeration at s={s}, m={m} holds {size} sequences of length {length}, "
-            f"{size * length * 16} bytes; the limit is {MAX_WALK_BYTES}"
         )
     build = entry.build
     K, z = _phase_grid(m)
@@ -511,8 +542,21 @@ def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> I
     """First outputs of the walk, each distinct sequence once, in walk order.
 
     Each row is keyed by the bytes ``sequence_key`` gives it, computed for
-    the whole block at once.
+    the whole block at once.  Raises EnumerationLimitError before any encode
+    when the key set could pass MAX_DEDUP_BYTES, that is when the walk's
+    combinations, all taken as distinct, would.
     """
+    pis = [tuple(p) for p in pis] if pis is not None else None
+    ells = list(ells) if ells is not None else None
+    size = enumeration_size(rule, s, m, None if pis is None else len(pis),
+                            None if ells is None else len(ells))
+    length = (1 if seed is None else len(seed)) << m
+    need = size * (16 * length + _KEY_OVERHEAD_BYTES)
+    if need > MAX_DEDUP_BYTES:
+        raise EnumerationLimitError(
+            f"{rule} dedup at s={s}, m={m} may hold {size} keys of length {length}, "
+            f"{need} bytes; the limit is {MAX_DEDUP_BYTES}"
+        )
     seen: set[bytes] = set()
     for _, _, _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
         keys = _key_values(values).tobytes()
@@ -521,7 +565,8 @@ def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> I
             key = keys[start : start + width]
             if key not in seen:
                 seen.add(key)
-                yield values[start // width]
+                # a copy, so a kept row does not keep its whole block alive
+                yield values[start // width].copy()
 
 
 def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:

@@ -234,9 +234,7 @@ def test_condition_implies_disjoint_support():
 
 def test_power_trace_csv_round_trip(tmp_path):
     _, trace = papr_oversampled_db([1, 1j, -1], 4)
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    text = buf.getvalue()
+    text = trace.to_csv()
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["t_norm", "power"]
     assert len(rows) == 1 + len(trace.power)

@@ -370,8 +370,9 @@ def test_enumerate_dedup_refuses_seed_lengths_above_four(capsys):
 
 
 def test_enumerate_dedup_memory_guard_exit(capsys):
-    # 1,572,864 sequences of length 16: under the count guard, over the byte limit
-    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "8", "--m", "4", "--dedup")
+    # 1,572,864 sequences of length 64: under the count guard, over the key-set limit
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "8", "--m", "4",
+                             "--N", "4", "--dedup")
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "bytes" in err

@@ -283,6 +283,22 @@ def test_unrepresentable_power_is_rejected(e_prime):
         encode_family(EncoderParams(m=2, H=4, e_prime=e_prime), np.zeros((3, 2)), np.zeros(3))
 
 
+def test_power_counts_the_second_output():
+    # m = 1: block 0 takes seed a with amplitude exponent 0 in c and e_1 in d,
+    # block 1 takes seed b with e_1 in c and 0 in d.  With |b|^2 = 1e-200,
+    # c's energy is 1 + 8.7e307 * 1e-200 and d's 8.7e307 + 1e-200: c's power
+    # 2 * length * energy is representable, the pair's is not
+    seed = SeedPair([1.0], [1e-100])
+    params = EncoderParams(m=1, H=4, e=(225.7,), seed=seed)
+    scale = math.exp(math.pi * 225.7)
+    assert 4 * (1 + scale * 1e-200) < 1e110
+    assert math.isinf(4 * (1 + scale * 1e-200 + scale))
+    with pytest.raises(ValueError, match="power"):
+        encode_pair(params)
+    with pytest.raises(ValueError, match="power"):
+        encode_family(params, np.zeros((3, 1)), np.zeros(3))
+
+
 def test_family_rows_match_scalar_encodes():
     # any parameters, gaps and overlaps included, and real-valued phase shifts
     rng = np.random.default_rng(17)

@@ -18,6 +18,7 @@ from csforge import (
 )
 from csforge.qam import (
     EnumerationLimitError,
+    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_sequences,
@@ -68,6 +69,11 @@ def test_geometry_identities_full_grid():
 
 def test_point_counts():
     for s in range(1, 9):
+        geo = QamGeometry(s)
+        assert geo.n_quadrant == s * s
+        assert geo.n_diagonal == s
+        assert geo.n_offdiagonal == s * (s - 1) // 2
+        assert geo.n_triangle == s * (s + 1) // 2
         assert len(lattice_points(s)) == 4 * s * s
 
 
@@ -344,7 +350,7 @@ def test_two_halves_matches_recursion_oracle(monkeypatch):
                     assert _phases_agree(got.k_dprime, want.k_dprime)
 
 
-def test_walk_memory_guard_raises_before_any_encode(monkeypatch):
+def test_dedup_memory_guard_raises_before_any_encode(monkeypatch):
     encodes = []
 
     def spy(params, K, z):
@@ -352,17 +358,27 @@ def test_walk_memory_guard_raises_before_any_encode(monkeypatch):
         return np.zeros((len(K), len(params.seed) << params.m), dtype=complex)
 
     monkeypatch.setattr(qam, "encode_family", spy)
-    # green at s=8, m=4: 1,572,864 sequences of length 16 take 384 MiB, under the count guard
+    # green at s=8, m=4: 1,572,864 keys take at most 629 MB at length 16
+    # and 1.84 GB at length 64, both under the count guard
     size = qam.enumeration_size("green", 8, 4)
-    assert size <= qam.DEFAULT_ENUM_GUARD and size * 16 * 16 > qam.MAX_WALK_BYTES
+    assert size <= qam.DEFAULT_ENUM_GUARD
+    assert size * (16 * 16 + qam._KEY_OVERHEAD_BYTES) <= qam.MAX_DEDUP_BYTES
+    assert size * (16 * 64 + qam._KEY_OVERHEAD_BYTES) > qam.MAX_DEDUP_BYTES
     with pytest.raises(EnumerationLimitError, match="bytes"):
-        next(enumerate_rule("green", 8, 4))
-    # green at s=4, m=4: 393,216 sequences take 96 MiB at length 16 and 384 MiB at length 64
-    with pytest.raises(EnumerationLimitError, match="bytes"):
-        next(enumerate_rule("green", 4, 4, seed=known_seed(4)))
+        next(distinct_values("green", 8, 4, seed=known_seed(4)))
     assert encodes == []
-    next(enumerate_rule("green", 4, 4))
-    assert len(encodes) == 1
+    # the streaming walk holds one block at a time and is not refused
+    next(enumerate_rule("green", 8, 4, seed=known_seed(4)))
+    next(distinct_values("green", 8, 4))
+    assert len(encodes) == 2
+    # the guard counts only the orders and steps walked
+    next(distinct_values("green", 8, 4, pis=[(1, 2, 3, 4)], seed=known_seed(4)))
+    assert len(encodes) == 3
+
+
+def test_distinct_rows_do_not_hold_their_block():
+    rows = list(distinct_values("green", 1, 2))
+    assert all(row.base is None for row in rows)
 
 
 _EXHAUSTIVE = (
