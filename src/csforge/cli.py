@@ -9,6 +9,7 @@ disk are bit-identical to what was written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -133,10 +134,19 @@ def _load_json(path: str):
 def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
     text = json.dumps(doc, indent=2, allow_nan=allow_nan)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _writing(out_path), open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write to ``path`` as bad input: one line and exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -148,6 +158,9 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         return integral(float(text), "entry")
+
+
+_integer.__name__ = "integer"  # argparse names the type in "invalid integer value: '3.5'"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -333,7 +346,8 @@ def cmd_papr(args) -> int:
         "mean_power": trace.mean,
     }
     if args.out:
-        trace.write_csv(args.out)
+        with _writing(args.out):
+            trace.write_csv(args.out)
         report["trace_csv"] = args.out
     _emit(report, None)
     return EXIT_OK
@@ -401,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_params(p):
         p.add_argument("--params", help="JSON parameter file")
         p.add_argument("--rule", choices=qam.RULES, help="QAM synthesis rule")
-        p.add_argument("--s", type=int, help="lattice size parameter (4s^2 points)")
+        p.add_argument("--s", type=_integer, help="lattice size parameter (4s^2 points)")
         p.add_argument("--indices", help="rule lattice indices, e.g. 2,1,4,2")
-        p.add_argument("--ell", type=int, help="rule step index (default m)")
+        p.add_argument("--ell", type=_integer, help="rule step index (default m)")
         p.add_argument("--sign", type=int, default=1, choices=(1, -1))
         p.add_argument("--sign-b", dest="sign_b", type=int, default=1, choices=(1, -1))
-        p.add_argument("--z", type=int, default=0, help="quadrant phase offset")
-        p.add_argument("--m", type=int)
-        p.add_argument("--H", type=int)
+        p.add_argument("--z", type=_integer, default=0, help="quadrant phase offset")
+        p.add_argument("--m", type=_integer)
+        p.add_argument("--H", type=_integer)
         p.add_argument("--pi", help="bit order, e.g. 2,1,3")
         p.add_argument("--e", help="amplitude exponents")
         p.add_argument("--e-prime", dest="e_prime", type=float)
@@ -435,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     enu = sub.add_parser("enumerate", help="family sizes and uncoded bits")
     enu.add_argument("--rule", default="total", choices=qam.RULES + ("total",))
-    enu.add_argument("--s", type=int, required=True)
-    enu.add_argument("--m", type=int, required=True)
-    enu.add_argument("--N", type=int, default=1,
+    enu.add_argument("--s", type=_integer, required=True)
+    enu.add_argument("--m", type=_integer, required=True)
+    enu.add_argument("--N", type=_integer, default=1,
                      help="seed length class; --dedup walks the stock seed of this length (1..4)")
     enu.add_argument("--dedup", action="store_true",
                      help="also count distinct sequences exhaustively")
@@ -454,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="AWGN minimum-distance detection")
     sim.add_argument("--codebook", help="JSON codebook file")
     sim.add_argument("--rule", choices=qam.RULES)
-    sim.add_argument("--s", type=int)
-    sim.add_argument("--m", type=int)
+    sim.add_argument("--s", type=_integer)
+    sim.add_argument("--m", type=_integer)
     sim.add_argument("--ebn0", required=True, help="Eb/N0 grid in dB, e.g. 0,2,inf")
     sim.add_argument("--trials", type=int, default=10000)
     sim.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)

@@ -497,6 +497,61 @@ def test_missing_inputs_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["encode", "simulate", "papr"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(run_cli(capsys, "encode", "--m", "2", "--H", "4")[1])
+    argv = {
+        "encode": ["encode", "--m", "3", "--H", "4"],
+        "simulate": ["simulate", "--rule", "green", "--s", "1", "--m", "1", "--ebn0", "inf",
+                     "--trials", "10"],
+        "papr": ["papr", str(pair_file)],
+    }[command]
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target}: ")
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))  # a directory
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["encode", "--m", "3.0", "--H", "4"], ["encode", "--m", "3", "--H", "4"]),
+    (["encode", "--m", "3", "--H", "4e0"], ["encode", "--m", "3", "--H", "4"]),
+    (["encode", "--rule", "blue", "--s", "2.0", "--m", "3", "--indices", "1,2,1",
+      "--ell", "2.0", "--z", "1.0"],
+     ["encode", "--rule", "blue", "--s", "2", "--m", "3", "--indices", "1,2,1",
+      "--ell", "2", "--z", "1"]),
+    (["enumerate", "--rule", "green", "--s", "1.0", "--m", "2.0", "--N", "2.0", "--dedup"],
+     ["enumerate", "--rule", "green", "--s", "1", "--m", "2", "--N", "2", "--dedup"]),
+    (["simulate", "--rule", "green", "--s", "1.0", "--m", "2.0", "--ebn0", "0,inf",
+      "--trials", "100"],
+     ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,inf",
+      "--trials", "100"]),
+])
+def test_integer_flags_take_integral_floats(capsys, argv, same):
+    got = run_cli(capsys, *argv)
+    assert got[0] == 0
+    assert got == run_cli(capsys, *same)
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--m", "3.5", "--H", "4"],
+    ["encode", "--m", "3", "--H", "nan"],
+    ["enumerate", "--s", "1", "--m", "2", "--N", "1e400"],
+    ["simulate", "--rule", "green", "--s", "0.5", "--m", "2", "--ebn0", "inf"],
+])
+def test_integer_flags_refuse_fractions_in_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "invalid integer value" in out.err
+
+
 def _no_constants(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csforge import simulate
+from csforge import qam, simulate
 from csforge.simulate import (
     MAX_CODEBOOK,
     CodebookLimitError,
@@ -116,11 +116,40 @@ def test_decisions_match_the_difference_tensor(monkeypatch, block_rows):
     rng = np.random.default_rng(11)
     words = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
     if block_rows is not None:
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 16 * len(words) * block_rows)
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * len(words) * block_rows)
     ebn0 = [-2.0, 4.0, math.inf]
     report = min_distance_sim(words, ebn0, trials=5000, rng_seed=3)
     assert report.bit_errors == direct_bit_errors(words, ebn0, 5000, 3)
     assert report.bit_errors[0] > 0
+
+
+@pytest.mark.parametrize("rule", ["green", "yellow", "orange", "blue"])
+def test_decisions_match_the_difference_tensor_on_qam_codebooks(rule):
+    words = np.asarray(list(qam.distinct_values(rule, 2, 2)), dtype=complex)
+    ebn0 = [0.0, 2.0, 4.0, 6.0, math.inf]
+    for seed in (1, 2):
+        report = min_distance_sim(words, ebn0, trials=1000, rng_seed=seed)
+        assert report.bit_errors == direct_bit_errors(words, ebn0, 1000, seed)
+        assert report.bit_errors[0] > 0 and report.bit_errors[-1] == 0
+
+
+@pytest.mark.parametrize("size", [257, 1024])
+def test_repeated_word_decides_its_first_copy(size):
+    rng = np.random.default_rng(size)
+    words = rng.standard_normal((size, 8)) + 1j * rng.standard_normal((size, 8))
+    copies = [1, size // 2, size - 1]
+    words[copies] = words[0]
+    used = 1 << int(math.log2(size))
+    for seed in (1, 2):
+        report = min_distance_sim(words, [math.inf], trials=4096, rng_seed=seed)
+        # one chunk: the first draw of the seed is every transmitted index
+        idx = np.random.default_rng(seed).integers(0, used, size=4096)
+        first_copy = sum(bin(int(i)).count("1") for i in idx if i in copies)
+        assert report.bit_errors == (first_copy,)
+        assert first_copy > 0
+        ebn0 = [0.0, 4.0, math.inf]
+        report = min_distance_sim(words, ebn0, trials=500, rng_seed=seed)
+        assert report.bit_errors == direct_bit_errors(words, ebn0, 500, seed)
 
 
 def test_detector_memory_is_bounded():
