@@ -27,9 +27,8 @@ MAX_CODEBOOK = 1 << 16
 
 _CHUNK = 4096  # trials per noise draw
 
-# size of one block of nearest-neighbour scores, rows of M float64 numbers;
-# a block this small stays in a core's L2 cache between the product and argmax
-_BLOCK_BYTES = 1 << 19
+# size of one block of nearest-neighbour scores: rows of M float64 numbers
+_BLOCK_BYTES = 1 << 24
 
 
 class CodebookLimitError(RuntimeError):
