@@ -1,9 +1,10 @@
 """Command-line front end: encode, verify, enumerate, papr, simulate.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation error,
-3 resource guard exceeded.  JSON documents carry ``schema: 1`` and floats
-serialize via shortest round-trip representation, so records re-read from
-disk are bit-identical to what was written.
+3 resource guard exceeded.  Every output is one compact line of JSON (pipe it
+through ``python -m json.tool`` to read it).  Documents carry ``schema: 1``
+and floats serialize via shortest round-trip representation, so records
+re-read from disk are bit-identical to what was written.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class GuardError(Exception):
 
 def _complex_to_json(values) -> dict:
     arr = np.asarray(values, dtype=complex)
-    return {"re": [float(x) for x in arr.real], "im": [float(x) for x in arr.imag]}
+    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def _complex_from_json(obj) -> np.ndarray:
@@ -112,7 +113,7 @@ def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int = 16,
         "id": seq_id,
         "length": len(seq),
         "values": _complex_to_json(seq.values),
-        "support": [int(i) for i in seq.support],
+        "support": seq.support.tolist(),
         "clusters": [{"start": a, "length": b - a} for a, b in seq.clusters()],
         "papr_db": papr_db,
     }
@@ -132,7 +133,9 @@ def _load_json(path: str):
 
 
 def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=allow_nan)
+    # compact separators and one dumps call keep json on its C encoder;
+    # indent, or json.dump to a file, runs the pure-Python one per element
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=allow_nan)
     if out_path:
         with _writing(out_path), open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -418,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=_integer, help="lattice size parameter (4s^2 points)")
         p.add_argument("--indices", help="rule lattice indices, e.g. 2,1,4,2")
         p.add_argument("--ell", type=_integer, help="rule step index (default m)")
-        p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-        p.add_argument("--sign-b", dest="sign_b", type=int, default=1, choices=(1, -1))
+        p.add_argument("--sign", type=_integer, default=1, choices=(1, -1))
+        p.add_argument("--sign-b", dest="sign_b", type=_integer, default=1, choices=(1, -1))
         p.add_argument("--z", type=_integer, default=0, help="quadrant phase offset")
         p.add_argument("--m", type=_integer)
         p.add_argument("--H", type=_integer)
@@ -437,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="synthesize a pair from parameters")
     add_common_params(enc)
-    enc.add_argument("--oversample", type=int, default=16)
+    enc.add_argument("--oversample", type=_integer, default=16)
     enc.set_defaults(func=cmd_encode)
 
     ver = sub.add_parser("verify", help="re-check a stored pair or sequence")
     ver.add_argument("file")
     ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--oversample", type=int, default=16)
+    ver.add_argument("--oversample", type=_integer, default=16)
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 
@@ -460,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pap = sub.add_parser("papr", help="peak power report and envelope trace")
     pap.add_argument("file")
-    pap.add_argument("--index", type=int, default=0, help="record index in the file")
-    pap.add_argument("--oversample", type=int, default=16)
+    pap.add_argument("--index", type=_integer, default=0, help="record index in the file")
+    pap.add_argument("--oversample", type=_integer, default=16)
     pap.add_argument("--out", help="write the power trace CSV here")
     pap.set_defaults(func=cmd_papr)
 
@@ -471,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--s", type=_integer)
     sim.add_argument("--m", type=_integer)
     sim.add_argument("--ebn0", required=True, help="Eb/N0 grid in dB, e.g. 0,2,inf")
-    sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
+    sim.add_argument("--trials", type=_integer, default=10000)
+    sim.add_argument("--rng-seed", dest="rng_seed", type=_integer, default=0)
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
 

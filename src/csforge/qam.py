@@ -42,6 +42,7 @@ __all__ = [
     "ENUM_GUARD_ENV",
     "EnumerationLimitError",
     "Geometry",
+    "MAX_COUNT_VARS",
     "MAX_DEDUP_BYTES",
     "QamGeometry",
     "RULES",
@@ -83,6 +84,11 @@ MAX_DEDUP_BYTES = 1 << 30
 # set of byte-string keys (CPython 3.11, 1,000 to 200,000 keys of 32 to 4,096
 # bytes): 140 bytes, at set sizes just past a table resize
 _KEY_OVERHEAD_BYTES = 144
+
+# Largest m the closed-form counts take: m! * 4^(m+1) has 3,171 digits at
+# m = 1000, so a count and its 2^m length stay under Python's 4,300-digit
+# int-to-str limit for every s below about 10^250
+MAX_COUNT_VARS = 1000
 
 QAM_POINT_TOL = 1e-6
 
@@ -439,6 +445,8 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
     """
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
+    if m > MAX_COUNT_VARS:
+        raise EnumerationLimitError(f"family counts limited to m <= {MAX_COUNT_VARS}")
     single = n_class == "N=1"
     unit, unit_count = _unit_value(m, n_class)
     span = (m + 1) if single else m

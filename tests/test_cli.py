@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from csforge import cli
-from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH
-from csforge.qam import on_lattice
+from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH, EncoderParams, encode_pair
+from csforge.qam import MAX_COUNT_VARS, on_lattice
 from csforge.simulate import MAX_CODEBOOK
 
 E1 = (2.0 / math.pi) * math.log(3.0)
@@ -229,6 +229,33 @@ def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
         assert record["length"] == 2**MAX_ENCODE_VARS
         assert record["papr_db"] <= record["papr_bound_db"]
     assert elapsed < 10.0, f"m = {MAX_ENCODE_VARS} round trip took {elapsed:.1f} s"
+    # the file holds the encoder's values bit for bit
+    result = encode_pair(EncoderParams(MAX_ENCODE_VARS, 4))
+    with open(pair) as fh:
+        records = json.load(fh)
+    for record, seq in zip(records, (result.c, result.d)):
+        assert np.array_equal(record["values"]["re"], seq.values.real)
+        assert np.array_equal(record["values"]["im"], seq.values.imag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--m", "3", "--H", "4"],
+    ["enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"],
+    ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,inf", "--trials", "10"],
+    ["verify"],
+])
+def test_outputs_are_one_line_of_json(tmp_path, capsys, argv):
+    if argv == ["verify"]:
+        pair = tmp_path / "pair.json"
+        pair.write_text(run_cli(capsys, "encode", "--m", "2", "--H", "4")[1])
+        argv = ["verify", str(pair)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+    json.loads(out)
 
 
 def test_emit_refuses_non_finite_numbers():
@@ -378,6 +405,22 @@ def test_enumerate_dedup_memory_guard_exit(capsys):
     assert err.count("\n") == 1 and "bytes" in err
 
 
+@pytest.mark.parametrize("m", ["100000", "1e7", str(MAX_COUNT_VARS + 1)])
+def test_enumerate_bounds_m(capsys, m):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--s", "1", "--m", m)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(MAX_COUNT_VARS) in err
+
+
+def test_enumerate_at_the_m_bound(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--s", "1", "--m", str(MAX_COUNT_VARS))
+    assert code == 0
+    assert json.loads(out)["length"] == 2**MAX_COUNT_VARS
+
+
 def test_enumerate_guard_exit(capsys, monkeypatch):
     monkeypatch.setenv("CS_FORGE_MAX_ENUM", "16")
     code, _, err = run_cli(
@@ -415,6 +458,8 @@ def test_simulate_noiseless_and_deterministic(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out1)["ber"] == [0.0]
+    assert '"ebn0_db":[Infinity]' in out1  # the noiseless point
+    assert json.loads(out1)["ebn0_db"] == [math.inf]
     code, out2, _ = run_cli(
         capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "0,5",
         "--trials", "2000", "--rng-seed", "11",
@@ -530,6 +575,14 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
       "--trials", "100"],
      ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,inf",
       "--trials", "100"]),
+    (["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,4",
+      "--trials", "1e3", "--rng-seed", "1.1e1"],
+     ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,4",
+      "--trials", "1000", "--rng-seed", "11"]),
+    (["encode", "--rule", "green", "--s", "2", "--m", "2", "--indices", "1,2",
+      "--sign", "-1.0", "--sign-b", "-1e0", "--oversample", "8.0"],
+     ["encode", "--rule", "green", "--s", "2", "--m", "2", "--indices", "1,2",
+      "--sign", "-1", "--sign-b", "-1", "--oversample", "8"]),
 ])
 def test_integer_flags_take_integral_floats(capsys, argv, same):
     got = run_cli(capsys, *argv)
@@ -537,11 +590,26 @@ def test_integer_flags_take_integral_floats(capsys, argv, same):
     assert got == run_cli(capsys, *same)
 
 
+def test_file_command_integer_flags_take_integral_floats(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(run_cli(capsys, "encode", "--m", "2", "--H", "4")[1])
+    for argv, same in [
+        (["verify", str(pair), "--oversample", "8.0"], ["verify", str(pair), "--oversample", "8"]),
+        (["papr", str(pair), "--index", "1.0", "--oversample", "4e0"],
+         ["papr", str(pair), "--index", "1", "--oversample", "4"]),
+    ]:
+        got = run_cli(capsys, *argv)
+        assert got[0] == 0
+        assert got == run_cli(capsys, *same)
+
+
 @pytest.mark.parametrize("argv", [
     ["encode", "--m", "3.5", "--H", "4"],
     ["encode", "--m", "3", "--H", "nan"],
     ["enumerate", "--s", "1", "--m", "2", "--N", "1e400"],
     ["simulate", "--rule", "green", "--s", "0.5", "--m", "2", "--ebn0", "inf"],
+    ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "inf", "--trials", "1.5"],
+    ["encode", "--rule", "green", "--s", "2", "--m", "2", "--indices", "1,2", "--sign", "0.5"],
 ])
 def test_integer_flags_refuse_fractions_in_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
