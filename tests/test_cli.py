@@ -238,24 +238,24 @@ def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
         assert np.array_equal(record["values"]["im"], seq.values.imag)
 
 
-@pytest.mark.parametrize("argv", [
-    ["encode", "--m", "3", "--H", "4"],
-    ["enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"],
-    ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,inf", "--trials", "10"],
-    ["verify"],
-])
-def test_outputs_are_one_line_of_json(tmp_path, capsys, argv):
-    if argv == ["verify"]:
-        pair = tmp_path / "pair.json"
-        pair.write_text(run_cli(capsys, "encode", "--m", "2", "--H", "4")[1])
-        argv = ["verify", str(pair)]
+@pytest.mark.parametrize("command", ["encode", "verify", "enumerate", "simulate"])
+def test_outputs_are_one_line_of_json(tmp_path, capsys, command):
+    pair = tmp_path / "pair.json"
+    pair.write_text(run_cli(capsys, "encode", "--m", "2", "--H", "4")[1])
+    argv = {
+        "encode": ["encode", "--m", "3", "--H", "4"],
+        "verify": ["verify", str(pair)],
+        "enumerate": ["enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"],
+        "simulate": ["simulate", "--rule", "green", "--s", "1", "--m", "2", "--ebn0", "0,inf",
+                     "--trials", "10"],
+    }[command]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
     target = tmp_path / "out.json"
     assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert target.read_text() == out
-    json.loads(out)
 
 
 def test_emit_refuses_non_finite_numbers():
