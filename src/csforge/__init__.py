@@ -35,6 +35,7 @@ from .qam import (
     QamGeometry,
     RuleSpec,
     count_sequences,
+    distinct_blocks,
     distinct_sequences,
     distinct_values,
     enumerate_rule,
@@ -69,6 +70,7 @@ __all__ = [
     "component_functions",
     "construction_function",
     "count_sequences",
+    "distinct_blocks",
     "distinct_sequences",
     "distinct_values",
     "encode_family",

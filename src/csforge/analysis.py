@@ -19,6 +19,8 @@ from .sequences import as_array, pads, permutation
 __all__ = [
     "ApacProfile",
     "GcpCheck",
+    "GridLimitError",
+    "MAX_GRID_POINTS",
     "PowerTrace",
     "apac",
     "is_gcp",
@@ -29,6 +31,24 @@ __all__ = [
 ]
 
 GCP_TOL = 1e-9
+
+# Most points an oversampled envelope grid may have: 16 times the longest
+# pair the encoder builds (encoder.MAX_SEQUENCE_LENGTH), 1 GiB of complex
+# FFT output
+MAX_GRID_POINTS = 16 << 22
+
+
+class GridLimitError(RuntimeError):
+    """Raised when oversample * length exceeds ``MAX_GRID_POINTS``."""
+
+
+def _grid_points(oversample: int, n: int) -> int:
+    """The size of the oversampled grid, checked before anything is allocated."""
+    if oversample * n > MAX_GRID_POINTS:
+        raise GridLimitError(
+            f"oversampled grid of {oversample} x {n} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+    return oversample * n
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,7 @@ def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:
     a = as_array(seq)
     if oversample < 4:
         raise ValueError("oversampling factor must be at least 4")
-    n_grid = oversample * len(a)
+    n_grid = _grid_points(oversample, len(a))
     # sum_i a_i e^{+j w i} == conj(FFT(conj(a))), and |.| is FFT-magnitude
     power = np.abs(np.fft.fft(np.conj(a), n_grid)) ** 2
     trace = PowerTrace(
@@ -184,7 +204,7 @@ def power_from_apac(profile: ApacProfile, oversample: int = 16) -> np.ndarray:
     rho(k) placed at index k mod G on the G = oversample * n point grid, one
     inverse FFT evaluates that sum at every t = i T / G.
     """
-    n_grid = oversample * profile.n
+    n_grid = _grid_points(oversample, profile.n)
     spread = np.zeros(n_grid, dtype=complex)
     np.add.at(spread, np.arange(1 - profile.n, profile.n) % n_grid, profile.values)
     return np.real(n_grid * np.fft.ifft(spread))

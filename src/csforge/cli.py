@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import re
 import sys
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import qam
-from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
+from .analysis import GridLimitError, is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
 from .sequences import ComplexSequence, integral
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
@@ -31,6 +32,10 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 _SIM_MAX_VARS = 4
+
+# Most decimal digits of an integer in a report: Python writes no integer of
+# more than 4,300 digits as text
+MAX_REPORT_DIGITS = 4000
 
 
 class InputError(Exception):
@@ -319,6 +324,9 @@ def cmd_enumerate(args) -> int:
         "bits": count.count.bit_length() - 1 if count.count > 0 else 0,
         "length": args.N * 2**args.m,
     }
+    for name in ("count", "length"):
+        if report[name] >= 10**MAX_REPORT_DIGITS:
+            raise GuardError(f"{name} has more than {MAX_REPORT_DIGITS} digits")
     if args.dedup:
         if args.rule not in qam.RULES:
             raise InputError("--dedup applies to a single rule")
@@ -373,12 +381,16 @@ def _codebook_from_args(args) -> np.ndarray:
             raise InputError("--rule codebooks need --m and --s")
         if args.m > _SIM_MAX_VARS:
             raise GuardError(f"simulation limited to m <= {_SIM_MAX_VARS}")
-        words: list[np.ndarray] = []
-        for values in qam.distinct_values(args.rule, args.s, args.m):
-            words.append(values)
-            if len(words) > MAX_CODEBOOK:
+        if not qam.enumeration_size(args.rule, args.s, args.m):
+            first = next(s for s in itertools.count(args.s + 1)
+                         if qam.enumeration_size(args.rule, s, args.m))
+            raise InputError(f"{args.rule} has no admissible indices below s = {first}")
+        blocks: list[np.ndarray] = []
+        for block in qam.distinct_blocks(args.rule, args.s, args.m):
+            blocks.append(block)
+            if sum(map(len, blocks)) > MAX_CODEBOOK:
                 raise GuardError(f"codebook exceeds {MAX_CODEBOOK} sequences")
-        return np.asarray(words, dtype=complex)
+        return np.concatenate(blocks)
     raise InputError("need --codebook or --rule")
 
 
@@ -488,7 +500,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GuardError, qam.EnumerationLimitError, CodebookLimitError,
-            SequenceLengthError) as exc:
+            SequenceLengthError, GridLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (InputError, ValueError) as exc:

@@ -275,67 +275,89 @@ FAMILY_CHUNK_BYTES = 16 << 20
 
 
 class _Tables(NamedTuple):
-    """The parts of one encoding that the linear phase does not touch."""
+    """The parts of an encoding that the linear phase does not touch, with
+    one leading entry per cell: a parameter set under one bit order."""
 
-    bits: np.ndarray  # (2^m, m): column n holds b_(n+1) of block x
-    amp_c: np.ndarray  # amplitude exponents per block
+    bits: np.ndarray  # (Q, 2^m, m): column n holds b_(n+1) of block x
+    amp_c: np.ndarray  # (Q, 2^m) amplitude exponents per block
     amp_d: np.ndarray
     quad_c: np.ndarray  # (H/2) q per block; callers add sum k_n b_n and k'
     quad_d: np.ndarray  # (H/2) (b_m xor (q mod 2)); callers add sum k_n b_n and k''
-    blocks: np.ndarray  # (2^m, N): the seed copy of each block
-    positions: np.ndarray  # (2^m * N,): where each block element lands
+    blocks: np.ndarray  # (Q, 2^m, N): the seed copy of each block
+    # (Q, 2^m * N): where each block element lands; None when d = 0, where
+    # block x fills elements x * N to x * N + N - 1 and nothing overlaps
+    positions: np.ndarray | None
     total: int  # output length
 
 
-def _tables(p: EncoderParams) -> _Tables:
+def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
     """Read the phase-free tables off the index bits b_n = bit pi_n of x.
 
-    Raises ValueError when the pair's power is zero or overflows.  The power
-    2 * length * (energy of c + energy of d) bounds every autocorrelation
-    sum and envelope power.  It does not depend on the phases: the energy
-    of c plus that of d is the sum over blocks of the seed copy's energy
-    times |coefficient of c|^2 + |coefficient of d|^2, whether copies
-    overlap or not (each recursion step scales the pair's energy by the
-    sum of its two squared scales), so it is computed from the amplitudes.
+    ``ps`` share m, H, d and the seed; cell g * P + p is ps[g] under the
+    order pis[p].  Raises ValueError when the pair's power is zero or
+    overflows in any cell.  The power 2 * length * (energy of c + energy of
+    d) bounds every autocorrelation sum and envelope power.  It does not
+    depend on the phases: the energy of c plus that of d is the sum over
+    blocks of the seed copy's energy times |coefficient of c|^2 +
+    |coefficient of d|^2, whether copies overlap or not (each recursion
+    step scales the pair's energy by the sum of its two squared scales), so
+    it is computed from the amplitudes.
     """
+    p = ps[0]
     m = p.m
     x = np.arange(1 << m)
-    bits = (x[:, None] >> (m - np.asarray(p.pi))) & 1
-    top = bits[:, -1]
-    quad = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
+    bits = np.tile((x[:, None] >> (m - pis[:, None, :])) & 1, (len(ps), 1, 1))
+    top = bits[..., -1]
+    quad = np.sum(bits[..., :-1] & bits[..., 1:], axis=-1)
     n_seed = len(p.seed)
     total = n_seed * len(x) + sum(p.d)
-    positions = ((bits @ np.asarray(p.d) + x * n_seed)[:, None] + np.arange(n_seed)).ravel()
-    blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[:, 0]]
+    positions = None
+    if total > n_seed * len(x):
+        positions = ((bits @ np.asarray(p.d) + x * n_seed)[..., None]
+                     + np.arange(n_seed)).reshape(len(bits), -1)
+    blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[..., 0]]
     w = 2.0 * math.pi / p.H
-    e = np.asarray(p.e)
+    e = np.repeat([q.e for q in ps], len(pis), axis=0)
     # huge amplitude exponents overflow to inf or nan here; the power check rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        pair_sum = (bits[:, :-1] ^ bits[:, 1:]) @ e[:-1] + p.e_prime
-        amp_c = e[-1] * top + pair_sum
-        amp_d = e[-1] * (1 - top) + pair_sum
+        pair_sum = ((bits[..., :-1] ^ bits[..., 1:]) @ e[:, :-1, None])[..., 0] + np.repeat(
+            [[q.e_prime] for q in ps], len(pis), axis=0)
+        amp_c = e[:, -1:] * top + pair_sum
+        amp_d = e[:, -1:] * (1 - top) + pair_sum
         scale = np.exp(2 * w * amp_c) + np.exp(2 * w * amp_d)
-        power = 2.0 * total * np.vdot(blocks, blocks * scale[:, None]).real
-    if not 0.0 < power < math.inf:
+        power = 2.0 * total * np.sum(np.abs(blocks) ** 2 * scale[..., None], axis=(1, 2))
+    if not np.all((0.0 < power) & (power < math.inf)):
         raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
     return _Tables(bits, amp_c, amp_d, p.H / 2 * quad, p.H / 2 * (top ^ (quad & 1)),
                    blocks, positions, total)
 
 
-def _place(t: _Tables, H: int, amp, phase) -> np.ndarray:
-    """Scale each row's seed copies by exp(w amp + j w phase) and sum them into place.
-
-    ``phase`` holds one row of block phases per output; the result has one
-    row of length ``t.total`` per phase row.
-    """
+def _coefficients(H: int, amp, phase) -> np.ndarray:
+    """exp(w amp + j w (phase mod H)) with w = 2 pi / H, elementwise."""
     w = 2.0 * math.pi / H
-    coef = np.exp(w * amp + 1j * w * np.mod(phase, H))
-    values = (t.blocks * coef[:, :, None]).reshape(len(phase), -1)
-    index = (np.arange(len(phase))[:, None] * t.total + t.positions).ravel()
-    size = len(phase) * t.total
-    out = (np.bincount(index, weights=values.real.ravel(), minlength=size)
-           + 1j * np.bincount(index, weights=values.imag.ravel(), minlength=size))
-    return out.reshape(len(phase), t.total)
+    return np.exp(w * amp + 1j * w * np.mod(phase, H))
+
+
+def _place(t: _Tables, coef, out, cells=slice(None)) -> None:
+    """Scale each row's seed copies by its block coefficients and sum them into ``out``.
+
+    ``coef`` (Q, B, 2^m) holds the block coefficients of B rows in each of
+    the Q cells ``cells`` of ``t``; ``out`` (Q, B, length) gets one output
+    row per coefficient row.  Colliding elements are summed in element
+    order, and every sum starts from +0.0, so no element is -0.0.
+    """
+    if t.positions is None:
+        copies = out.view()
+        copies.shape = (*out.shape[:2], *t.blocks.shape[1:])  # raises rather than copy
+        np.multiply(t.blocks[cells, None], coef[..., None], out=copies)
+        np.add(out, 0.0, out=out)
+        return
+    values = t.blocks[cells, None] * coef[..., None]
+    rows = np.arange(len(coef) * coef.shape[1]).reshape(len(coef), -1, 1)
+    index = (rows * t.total + t.positions[cells, None]).ravel()
+    out[...] = (np.bincount(index, weights=values.real.ravel(), minlength=out.size)
+                + 1j * np.bincount(index, weights=values.imag.ravel(), minlength=out.size)
+                ).reshape(out.shape)
 
 
 def encode_pair(params: EncoderParams) -> EncodedPair:
@@ -359,47 +381,81 @@ def encode_pair(params: EncoderParams) -> EncodedPair:
     the same tables symbolically and serves as the oracle for this one.
     """
     p = params
-    t = _tables(p)
+    t = _tables([p], np.array([p.pi]))
     linear = t.bits @ np.asarray(p.k)
-    c = _place(t, p.H, t.amp_c, (t.quad_c + linear + p.k_prime)[None])[0]
-    d = _place(t, p.H, t.amp_d, (t.quad_d + linear + p.k_dprime)[None])[0]
-    return EncodedPair(
-        c=ComplexSequence(c),
-        d=ComplexSequence(d),
-        overlap=bool(np.max(np.bincount(t.positions, minlength=t.total)) > 1),
-    )
+    c, d = np.empty((2, 1, 1, t.total), dtype=complex)
+    _place(t, _coefficients(p.H, t.amp_c, t.quad_c + linear + p.k_prime)[:, None], c)
+    _place(t, _coefficients(p.H, t.amp_d, t.quad_d + linear + p.k_dprime)[:, None], d)
+    overlap = t.positions is not None and np.max(np.bincount(t.positions[0])) > 1
+    return EncodedPair(c=ComplexSequence(c[0, 0]), d=ComplexSequence(d[0, 0]), overlap=bool(overlap))
 
 
-def encode_family(params: EncoderParams, K, z) -> np.ndarray:
-    """First outputs of a whole phase family, one row per member.
+def encode_family(params, K, z, pis=None) -> np.ndarray:
+    """First outputs of whole phase families, one row per member.
 
-    Row b is ``encode_pair(params).c.values`` with the phase steps k + K[b]
-    and both constants k' + z[b] and k'' + z[b]: only the linear phase
-    sum k_n b_n + k' moves between members, so the amplitude, quadratic,
-    position and seed tables are built once, and all rows take one
-    ``K @ bits.T`` product.  Rows agree with the scalar path to rounding.
-    Rows are encoded in chunks under ``FAMILY_CHUNK_BYTES`` of scratch
-    memory.  Raises the power ValueError that ``encode_pair`` raises.
+    ``params`` is one EncoderParams or a sequence of G of them that share
+    m, H, d and the seed; ``pis`` (P, m) stacks bit orders (default: the
+    first set's order alone).  Row (g * P + p) * B + b of the (G * P * B, L)
+    result is ``encode_pair(params[g]).c.values`` with the order pis[p], the
+    phase steps k + K[b] and both constants k' + z[b] and k'' + z[b]: only
+    the amplitudes, the order and the linear phase sum k_n b_n + k' move
+    between members, so the tables are built once for the whole stack.
+    Rows agree with the scalar path to rounding.  Rows are encoded in
+    chunks under ``FAMILY_CHUNK_BYTES`` of scratch memory.  Raises the power
+    ValueError that ``encode_pair`` raises, for any set and order.
     """
-    p = params
+    ps = [params] if isinstance(params, EncoderParams) else list(params)
+    if not ps:
+        raise ValueError("need at least one parameter set")
+    p = ps[0]
+    if any((q.m, q.H, q.d) != (p.m, p.H, p.d) or q.seed is not p.seed and q.seed != p.seed
+           for q in ps):
+        raise ValueError("stacked parameter sets must share m, H, d and the seed")
     K = np.asarray(K, dtype=float)
     z = np.asarray(z, dtype=float)
     if K.ndim != 2 or K.shape[1] != p.m or z.shape != (len(K),):
         raise ValueError(f"K must be (B, {p.m}) and z (B,), got {K.shape} and {z.shape}")
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(z))):
         raise ValueError("K and z must be finite")
-    t = _tables(p)
-    base = t.quad_c + t.bits @ np.asarray(p.k) + p.k_prime
-    out = np.empty((len(K), t.total), dtype=complex)
+    pis = np.asarray([p.pi] if pis is None else pis)
+    if pis.ndim != 2 or not np.issubdtype(pis.dtype, np.integer) or any(
+            sorted(pi) != list(range(1, p.m + 1)) for pi in pis.tolist()):
+        raise ValueError(f"pis must be rows of permutations of 1..{p.m}, got {pis.tolist()}")
+    t = _tables(ps, pis)
+    steps = np.repeat([q.k for q in ps], len(pis), axis=0)
+    base = t.quad_c + (t.bits @ steps[..., None])[..., 0] + np.repeat(
+        [[q.k_prime] for q in ps], len(pis), axis=0)
+    bits_t = np.swapaxes(t.bits, 1, 2).astype(float)
+    # When K and z hold small non-negative integers, as in the exhaustive
+    # walk, block x of a row takes one of a few phases (base + s) + z with
+    # s = sum K_n b_n: the coefficients are then taken once per (cell,
+    # block, s, z) and looked up, which gives the same floats
+    n_sum, n_z = K.sum(axis=1).max(initial=0) + 1, z.max(initial=0) + 1
+    small = bool(len(K) and K.min() >= 0 and z.min() >= 0
+                 and np.all(K % 1 == 0) and np.all(z % 1 == 0))
+    out = np.empty((len(bits_t), len(K), t.total), dtype=complex)
     # per row: phases and coefficients per block, values, weights and index
     # per element, two bincount sums and the complex result per output slot
-    row_bytes = 56 * len(t.bits) + 48 * t.positions.size + 32 * t.total
+    row_bytes = 56 * len(base[0]) + 48 * t.blocks[0].size + 32 * t.total
     rows = max(1, FAMILY_CHUNK_BYTES // row_bytes)
-    for lo in range(0, len(K), rows):
-        chunk = slice(lo, lo + rows)
-        phase = base + K[chunk] @ t.bits.T + z[chunk, None]
-        out[chunk] = _place(t, p.H, t.amp_c, phase)
-    return out
+    # whole cells at a time while their rows fit, else part of one cell
+    step, rows = max(1, rows // max(len(K), 1)), max(1, min(rows, len(K)))
+    for first in range(0, len(bits_t), step):
+        cells = slice(first, first + step)
+        for lo in range(0, len(K), rows):
+            chunk = slice(lo, lo + rows)
+            if small and n_sum * n_z <= len(K[chunk]):
+                table = _coefficients(p.H, t.amp_c[cells, :, None, None], (
+                    base[cells, :, None, None] + np.arange(n_sum)[:, None]) + np.arange(n_z))
+                # the table entry of each (cell, row, block)
+                code = (K[chunk] @ bits_t[cells] * n_z + z[chunk, None]).astype(np.intp)
+                code += np.arange(table[..., 0, 0].size).reshape(len(table), 1, -1) * int(n_sum * n_z)
+                coef = table.reshape(-1)[code]
+            else:
+                phase = (base[cells, None] + K[chunk] @ bits_t[cells]) + z[chunk, None]
+                coef = _coefficients(p.H, t.amp_c[cells, None], phase)
+            _place(t, coef, out[cells, chunk], cells)
+    return out.reshape(-1, t.total)
 
 
 def run_recursion(params: RecursionParams) -> tuple[ComplexSequence, ComplexSequence]:

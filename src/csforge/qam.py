@@ -49,9 +49,11 @@ __all__ = [
     "RuleCount",
     "RuleEntry",
     "RuleSpec",
+    "WALK_BLOCK_BYTES",
     "blue_params",
     "count_sequences",
     "cyan_params",
+    "distinct_blocks",
     "distinct_sequences",
     "distinct_values",
     "enumerate_rule",
@@ -76,14 +78,19 @@ _SCALE = 4.0 / (2.0 * math.pi)
 
 ENUM_GUARD_ENV = "CS_FORGE_MAX_ENUM"
 DEFAULT_ENUM_GUARD = 10_000_000
-# Most bytes the dedup key set may take, counted for every combination of
-# the walk as if all were distinct: each key holds 16 bytes per complex
-# element plus _KEY_OVERHEAD_BYTES for its bytes object and its set slot
+# Most bytes the dedup store may take, counted for every combination of the
+# walk as if all were distinct: a row of 16 bytes per complex element, and
+# _KEY_OVERHEAD_BYTES for its hash, its position and the merge scratch
 MAX_DEDUP_BYTES = 1 << 30
-# Largest per-key cost above the key's own bytes that tracemalloc shows for a
-# set of byte-string keys (CPython 3.11, 1,000 to 200,000 keys of 32 to 4,096
-# bytes): 140 bytes, at set sizes just past a table resize
-_KEY_OVERHEAD_BYTES = 144
+# tracemalloc (CPython 3.11, walks of 3,072 to 110,592 distinct rows of 8 to
+# 32 elements) shows 25 bytes per distinct row beyond the row itself, plus
+# under 1 MB of block scratch
+_KEY_OVERHEAD_BYTES = 32
+
+# About how many bytes of first outputs one encode of the walk writes (one
+# order at least); the dedup keys runs of at least half that at once.  At
+# 128 KiB the scratch of both stays under about 1 MB
+WALK_BLOCK_BYTES = 1 << 17
 
 # Largest m the closed-form counts take: m! * 4^(m+1) has 3,171 digits at
 # m = 1000, so a count and its 2^m length stay under Python's 4,300-digit
@@ -462,7 +469,9 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
 
 def _key_values(values) -> np.ndarray:
     """Values rounded to 12 decimals, with -0.0 made 0.0."""
-    return np.round(np.asarray(values, dtype=complex), 12) + 0.0
+    keys = np.round(np.asarray(values, dtype=complex), 12)
+    keys += 0.0
+    return keys
 
 
 def sequence_key(values) -> bytes:
@@ -480,12 +489,15 @@ def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     """Raw combination count the exhaustive walk would visit.
 
     Per admissible choice: every step choice (rules without one have a
-    single), every order, 4^m step phases and one free constant.
+    single), every order, 4^m step phases and one free constant.  The
+    choices are counted without listing them: there are as many as the
+    family has units at m = 1 over a span of one.
     """
     entry = rule_entry(rule)
     n_pis = n_pis if n_pis is not None else math.factorial(m)
     n_ells = (n_ells if n_ells is not None else m) if entry.has_ell else 1
-    return len(entry.choices(s)) * n_ells * n_pis * 4 ** (m + 1)
+    n_choices = entry.units(s, 1, 1) if s >= 1 else 0
+    return n_choices * n_ells * n_pis * 4 ** (m + 1)
 
 
 def _phase_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -504,13 +516,16 @@ def enumerate_rule(
     ells: Iterable[int] | None = None,
     seed: SeedPair | None = None,
     guard: int | None = None,
-) -> Iterator[tuple[EncoderParams, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[EncoderParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Walk every admitted parameter combination in lexicographic order.
 
-    Yields one (params, K, z, values) block per (choice, ell, pi) group:
-    ``params`` is the group's member with k = 0 and z = 0, and row i of
-    ``values`` is the first output of the member built with k = K[i] and
-    z = z[i].  Blocks come in the order choice, ell, pi; rows in the order
+    Yields (params, pis, K, z, values) blocks.  ``params`` is the (choice,
+    ell) member with the identity order, k = 0 and z = 0; the rule builders
+    do not read the order, so each (choice, ell) is built once.  Row
+    i * len(K) + b of ``values`` is the first output of the member with the
+    order pis[i], k = K[b] and z = z[b].  Blocks come in the order choice,
+    ell, pi, each (choice, ell) split into runs of orders whose outputs fit
+    WALK_BLOCK_BYTES (at least one order per block); rows in the order pi,
     k (lexicographic, orange's k[ell-1] last), then z.
 
     Raises EnumerationLimitError before any encode when the raw combination
@@ -518,9 +533,9 @@ def enumerate_rule(
     CS_FORGE_MAX_ENUM environment variable).
     """
     entry = rule_entry(rule)
-    pis = [tuple(p) for p in pis] if pis is not None else list(
-        itertools.permutations(range(1, m + 1))
-    )
+    pis = np.array([tuple(p) for p in pis] if pis is not None else list(
+        itertools.permutations(range(1, m + 1)))).reshape(-1, m)
+    pis.flags.writeable = False
     ells = list(ells) if ells is not None else list(range(1, m + 1))
     size = enumeration_size(rule, s, m, len(pis), len(ells))
     limit = _enum_guard(guard)
@@ -528,31 +543,125 @@ def enumerate_rule(
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
-    build = entry.build
     K, z = _phase_grid(m)
+    order_bytes = 16 * ((1 if seed is None else len(seed)) << m) * len(K)
+    per_block = max(1, WALK_BLOCK_BYTES // order_bytes)
+    # whole (choice, ell) groups per encode while all their orders fit a block
+    per_encode = max(1, WALK_BLOCK_BYTES // (order_bytes * max(1, len(pis))))
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
-    for choice in entry.choices(s):
-        for step in steps:
-            fixed = dict(choice, **step, s=s, m=m, seed=seed)
-            rows = K
-            if entry.phase_last:
-                ell = step["ell"]
-                rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
-                rows.flags.writeable = False
-            for pi in pis:
-                params = build(pi=pi, k=None, z=0, **fixed)
-                values = encode_family(params, rows, z)
+    groups = ((step["ell"] if entry.phase_last else None,
+               entry.build(**choice, **step, s=s, m=m, pi=None, k=None, z=0, seed=seed))
+              for choice in entry.choices(s) for step in steps)
+    for ell, run in itertools.groupby(groups, key=lambda group: group[0]):
+        rows = K
+        if ell is not None:  # orange varies its step phase k[ell-1] last
+            rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
+            rows.flags.writeable = False
+        run = [params for _, params in run]
+        for first in range(0, len(run), per_encode):
+            batch = run[first : first + per_encode]
+            for lo in range(0, len(pis), per_block):
+                orders = pis[lo : lo + per_block]
+                values = encode_family(batch, rows, z, orders)
                 values.flags.writeable = False
-                yield params, rows, z, values
+                for params, block in zip(batch, np.split(values, len(batch))):
+                    yield params, orders, rows, z, block
+                del values, block  # not held while the next block is encoded
 
 
-def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a (R, W) uint64 array: the sum, modulo
+    2^64, of x ^ (x >> 32) of each word x (which folds a float's sign,
+    exponent and leading mantissa bits into the low half) times an odd
+    constant of its column, the splitmix64 output of the column number."""
+    c = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    c = (c ^ (c >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    c = (c ^ (c >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    folded = words >> np.uint64(32)
+    folded ^= words
+    return folded @ (c ^ (c >> np.uint64(31)) | np.uint64(1))
+
+
+class _DistinctRows:
+    """The distinct key rows seen so far, found by hash and confirmed word by word.
+
+    ``rows[:count]`` holds them in the order first seen, in room for
+    ``capacity`` rows (pages never written are never touched).  ``levels``
+    indexes them as (hashes, positions) pairs sorted by hash, each level
+    over twice as long as the next, so that a run merges into short levels
+    and the long ones merge rarely.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        self.rows = np.empty((capacity, width), dtype=np.uint64)
+        self.count = 0
+        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+        self.position = np.uint32 if capacity <= 1 << 32 else np.intp
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Store the rows of ``keys`` (R, W) that equal no row seen before,
+        the first of equal rows only; return their indices, ascending."""
+        h = _row_hashes(keys)
+        # rows in hash order (a stable sort keeps equal hashes in row order);
+        # a row whose hash and words equal its predecessor's is a repeat
+        order = np.argsort(h, kind="stable")
+        h = h[order]
+        pairs = np.flatnonzero(h[1:] == h[:-1])
+        same = np.all(keys[order[pairs]] == keys[order[pairs + 1]], axis=1)
+        head = np.ones(len(h), dtype=bool)
+        head[pairs[same] + 1] = False
+        for value in dict.fromkeys(h[pairs[~same]].tolist()):  # hash collisions, row by row
+            run = slice(np.searchsorted(h, value, "left"), np.searchsorted(h, value, "right"))
+            firsts = {keys[i].tobytes(): i for i in order[run][::-1]}
+            head[run] = np.isin(order[run], list(firsts.values()))
+        first, h = order[head], h[head]
+        # then against the stored rows: a row with a stored hash is seen
+        # when its words equal those of a stored row with that hash
+        seen = np.zeros(len(first), dtype=bool)
+        for hashes, where in self.levels:
+            at = np.minimum(np.searchsorted(hashes, h), len(hashes) - 1)
+            hits = np.flatnonzero(~seen & (hashes[at] == h))
+            seen[hits] = np.all(self.rows[where[at[hits]]] == keys[first[hits]], axis=1)
+            for i in hits[~seen[hits]]:
+                j = at[i] + 1
+                while not seen[i] and j < len(hashes) and hashes[j] == h[i]:
+                    seen[i] = np.array_equal(self.rows[where[j]], keys[first[i]])
+                    j += 1
+        fresh = np.flatnonzero(~seen)
+        is_new = np.zeros(len(keys), dtype=bool)
+        is_new[first[fresh]] = True
+        new = np.flatnonzero(is_new)
+        self.rows[self.count : self.count + len(new)] = keys[new]
+        level = h[fresh], (self.count + np.cumsum(is_new)[first[fresh]] - 1).astype(self.position)
+        self.count += len(new)
+        while self.levels and len(self.levels[-1][0]) <= 2 * len(level[0]):
+            level = _merge(self.levels.pop(), level)
+        if len(new):
+            self.levels.append(level)
+        return new
+
+
+def _merge(a, b):
+    """Two (hashes, positions) levels, each sorted by hash, as one."""
+    put = np.searchsorted(a[0], b[0]) + np.arange(len(b[0]))
+    old = np.ones(len(a[0]) + len(b[0]), dtype=bool)
+    old[put] = False
+    merged = np.empty(len(old), dtype=a[0].dtype), np.empty(len(old), dtype=a[1].dtype)
+    for out, x, y in zip(merged, a, b):
+        out[put], out[old] = y, x
+    return merged
+
+
+def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
     """First outputs of the walk, each distinct sequence once, in walk order.
 
-    Each row is keyed by the bytes ``sequence_key`` gives it, computed for
-    the whole block at once.  Raises EnumerationLimitError before any encode
-    when the key set could pass MAX_DEDUP_BYTES, that is when the walk's
-    combinations, all taken as distinct, would.
+    Yields (n, L) arrays of the rows first seen in successive runs of walk
+    blocks.  Rows are keyed by the bytes ``sequence_key`` gives them: each
+    key row is hashed to 64 bits, and every row whose hash matches an
+    earlier one is compared word for word, so the count is exact.  Raises
+    EnumerationLimitError before any encode when the dedup store could pass
+    MAX_DEDUP_BYTES, that is when the walk's combinations, all taken as
+    distinct, would.
     """
     pis = [tuple(p) for p in pis] if pis is not None else None
     ells = list(ells) if ells is not None else None
@@ -565,18 +674,36 @@ def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> I
             f"{rule} dedup at s={s}, m={m} may hold {size} keys of length {length}, "
             f"{need} bytes; the limit is {MAX_DEDUP_BYTES}"
         )
-    seen: set[bytes] = set()
-    for _, _, _, values in enumerate_rule(rule, s, m, pis, ells, seed, guard):
-        keys = _key_values(values).tobytes()
-        width = len(keys) // len(values)
-        for start in range(0, len(keys), width):
-            key = keys[start : start + width]
-            if key not in seen:
-                seen.add(key)
-                # a copy, so a kept row does not keep its whole block alive
-                yield values[start // width].copy()
+    store = _DistinctRows(size, 2 * length)
+    for values in _runs(enumerate_rule(rule, s, m, pis, ells, seed, guard)):
+        new = store.add(_key_values(values).view(np.uint64))
+        if len(new):
+            yield values[new]
+        del values  # not held while the walk encodes the next run
+
+
+def _runs(blocks) -> Iterator[np.ndarray]:
+    """The first outputs of successive walk blocks, joined into runs of at
+    least half of WALK_BLOCK_BYTES (the last may be shorter); a block that
+    large is a run by itself, not a copy."""
+    run = []
+    for *_, values in blocks:
+        run.append(values)
+        if 2 * sum(v.nbytes for v in run) >= WALK_BLOCK_BYTES:
+            yield run[0] if len(run) == 1 else np.concatenate(run)
+            run = []
+    if run:
+        yield np.concatenate(run)
+
+
+def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
+    """``distinct_blocks`` one row at a time; each row is a copy, so a kept
+    row does not hold its block."""
+    for block in distinct_blocks(rule, s, m, pis, ells, seed, guard):
+        for row in block:
+            yield row.copy()
 
 
 def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:
     """Number of distinct first outputs over the full enumeration."""
-    return sum(1 for _ in distinct_values(rule, s, m, pis, ells, seed, guard))
+    return sum(map(len, distinct_blocks(rule, s, m, pis, ells, seed, guard)))

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from csforge import cli
+from csforge.analysis import MAX_GRID_POINTS
 from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH, EncoderParams, encode_pair
 from csforge.qam import MAX_COUNT_VARS, on_lattice
 from csforge.simulate import MAX_CODEBOOK
@@ -421,6 +422,17 @@ def test_enumerate_at_the_m_bound(capsys):
     assert json.loads(out)["length"] == 2**MAX_COUNT_VARS
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--s", "9" * 1100, "--m", "2"], "count"),  # the count is about s^4
+    (["--s", "1", "--m", str(MAX_COUNT_VARS), "--N", "9" * 4100], "length"),  # N * 2^1000
+])
+def test_enumerate_bounds_report_digits(capsys, argv, name):
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {name} has more than {cli.MAX_REPORT_DIGITS} digits\n"
+
+
 def test_enumerate_guard_exit(capsys, monkeypatch):
     monkeypatch.setenv("CS_FORGE_MAX_ENUM", "16")
     code, _, err = run_cli(
@@ -428,6 +440,19 @@ def test_enumerate_guard_exit(capsys, monkeypatch):
     )
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize("command", ["encode", "verify", "papr"])
+def test_oversample_bounded_before_any_grid(tmp_path, capsys, command):
+    # 10^11 grid points per element: refused before the FFT allocates anything
+    pair = tmp_path / "pair.json"
+    assert run_cli(capsys, "encode", "--m", "2", "--H", "4", "--out", str(pair))[0] == 0
+    argv = {"encode": ["encode", "--m", "2", "--H", "4"], "verify": ["verify", str(pair)],
+            "papr": ["papr", str(pair)]}[command]
+    code, out, err = run_cli(capsys, *argv, "--oversample", "100000000000")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(MAX_GRID_POINTS) in err
 
 
 def test_papr_report_and_trace(tmp_path, capsys):
@@ -478,6 +503,16 @@ def test_simulate_guard_on_large_m(capsys):
     )
     assert code == 3
     assert "m <= 4" in err
+
+
+@pytest.mark.parametrize("rule, s, first", [("cyan", "2", 3), ("cyan", "1", 3), ("yellow", "1", 2)])
+def test_simulate_names_the_first_lattice_with_choices(capsys, rule, s, first):
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", rule, "--s", s, "--m", "2", "--ebn0", "inf", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {rule} has no admissible indices below s = {first}\n"
 
 
 def test_simulate_rule_codebook(capsys, monkeypatch):

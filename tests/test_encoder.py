@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -21,6 +22,7 @@ from csforge import (
     is_gcp,
     known_seed,
     papr_oversampled_db,
+    qam,
     recursion_to_encoder,
     run_recursion,
     shifts_avoid_overlap,
@@ -312,6 +314,58 @@ def test_family_rows_match_scalar_encodes():
             member = replace(p, k=tuple(np.add(p.k, K[i])), k_prime=p.k_prime + z[i],
                              k_dprime=p.k_dprime + z[i])
             assert pair_matches(family[i], encode_pair(member).c.values, rtol=1e-12)
+
+
+def test_family_stacks_of_sets_and_orders_match_single_encodes():
+    # G sets that share m, H, d and the seed, under P orders, with integral
+    # phase rows (looked up) and real ones (computed): row (g * P + p) * B + b
+    # is row b of the set g re-ordered by pis[p], to rounding
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        first = random_encoder_params(rng, m_max=5, seed_lengths=(1, 2, 3, 4), shift_mode="mixed")
+        ps = [first] + [replace(random_encoder_params(rng, m_min=first.m, m_max=first.m),
+                                H=first.H, d=first.d, seed=first.seed)
+                        for _ in range(int(rng.integers(0, 3)))]
+        pis = [tuple(int(v) for v in rng.permutation(np.arange(1, first.m + 1)))
+               for _ in range(int(rng.integers(1, 4)))]
+        B = int(rng.integers(1, 40))
+        if trial % 2:
+            K, z = rng.integers(0, 4, (B, first.m)), rng.integers(0, 4, B)
+        else:
+            K, z = rng.uniform(-first.H, first.H, (B, first.m)), rng.uniform(0, first.H, B)
+        stacked = encode_family(ps, K, z, pis)
+        assert stacked.shape == (len(ps) * len(pis) * B, (len(first.seed) << first.m) + sum(first.d))
+        single = np.concatenate([encode_family(replace(p, pi=pi), K, z) for p in ps for pi in pis])
+        assert pair_matches(stacked, single, rtol=1e-12)
+
+
+def test_family_rule_stacks_are_bit_for_bit():
+    # rule parameters have at most two nonzero steps, so stacking them moves no bit
+    entry = qam.rule_entry("cyan")
+    ps = [entry.build(s=3, m=3, ell=ell, pi=None, k=None, z=0, seed=known_seed(3), **choice)
+          for choice in entry.choices(3)[:4] for ell in (1, 3)]
+    pis = [(3, 1, 2), (1, 2, 3), (2, 3, 1)]
+    K = np.array(list(itertools.product(range(4), repeat=3))).repeat(4, axis=0)
+    z = np.tile(np.arange(4), 64)
+    stacked = encode_family(ps, K, z, pis)
+    single = np.concatenate([encode_family(replace(p, pi=pi), K, z) for p in ps for pi in pis])
+    assert stacked.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("other", [
+    dict(m=2, H=8), dict(m=2, H=4, d=(1, 0)), dict(m=2, H=4, seed=known_seed(2)), dict(m=3, H=4),
+])
+def test_family_stack_must_share_the_tables(other):
+    with pytest.raises(ValueError, match="share"):
+        encode_family([EncoderParams(m=2, H=4), EncoderParams(**other)], np.zeros((1, 2)), np.zeros(1))
+    with pytest.raises(ValueError):
+        encode_family([], np.zeros((1, 2)), np.zeros(1))
+
+
+@pytest.mark.parametrize("pis", [[(1, 1)], [(1, 3)], [(1, 2, 3)], [1, 2], [(1.0, 2.0)], [[(1, 2)]]])
+def test_family_rejects_bad_orders(pis):
+    with pytest.raises(ValueError, match="pis"):
+        encode_family(EncoderParams(m=2, H=4), np.zeros((1, 2)), np.zeros(1), pis)
 
 
 @pytest.mark.parametrize("K, z", [

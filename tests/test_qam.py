@@ -257,8 +257,9 @@ def _phases_agree(a, b, H=4, tol=1e-12):
 def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
     seed = known_seed(n_seed)
     rows = [
-        (params, K[i], z[i], values[i])
-        for params, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
+        (replace(params, pi=tuple(pi)), K[i], z[i], values[j * len(K) + i])
+        for params, orders, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
+        for j, pi in enumerate(orders)
         for i in range(len(K))
     ]
     reference = list(reference_walk(rule, s, m, seed, pis))
@@ -274,6 +275,54 @@ def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
         assert sequence_key(row) == sequence_key(expected)
     keys = [sequence_key(v) for v in distinct_values(rule, s, m, pis=pis, seed=seed)]
     assert keys == reference_distinct_keys(rule, s, m, seed, pis)
+
+
+@pytest.mark.parametrize("rule, s, m, pis", [
+    ("green", 1, 3, [(3, 1, 2), (1, 2, 3)]), ("yellow", 2, 2, [(2, 1), (1, 2)]),
+    ("blue", 2, 2, [(2, 1)]), ("cyan", 3, 2, [(2, 1)]), ("orange", 2, 2, [(2, 1), (1, 2)]),
+])
+@pytest.mark.parametrize("n_seed", [1, 2, 3, 4])
+def test_tensor_walk_matches_reference_walk(rule, s, m, pis, n_seed):
+    # at m = 2 a block stacks many (choice, ell) groups and both orders; at
+    # m = 3 and N = 4 each order of a group is a block of its own
+    seed = known_seed(n_seed)
+    rows = [
+        (tuple(pi), tuple(K[i]), z[i], values[j * len(K) + i])
+        for _, orders, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
+        for j, pi in enumerate(orders)
+        for i in range(len(K))
+    ]
+    reference = list(reference_walk(rule, s, m, seed, pis))
+    assert len(rows) == len(reference)
+    for (pi, k, z, row), (ref_k, ref_z, member, expected) in zip(rows, reference):
+        assert (pi, k, z) == (member.pi, ref_k, ref_z)
+        assert sequence_key(row) == sequence_key(expected)
+        assert np.max(np.abs(row - expected)) <= 1e-12
+    # reference_distinct_keys of the same walk
+    first_seen = dict.fromkeys(sequence_key(expected) for *_, expected in reference)
+    keys = [sequence_key(v) for v in distinct_values(rule, s, m, pis=pis, seed=seed)]
+    assert keys == list(first_seen)
+
+
+@pytest.mark.parametrize("hashes", [
+    lambda words: np.zeros(len(words), dtype=np.uint64),  # every row collides
+    lambda words: words[:, 0] & np.uint64(3),  # rows collide in four classes
+])
+def test_dedup_is_exact_when_hashes_collide(monkeypatch, hashes):
+    expected = reference_distinct_keys("yellow", 2, 2, known_seed(2))
+    monkeypatch.setattr(qam, "_row_hashes", hashes)
+    keys = [sequence_key(v) for v in distinct_values("yellow", 2, 2, seed=known_seed(2))]
+    assert keys == expected
+    assert distinct_sequences("orange", 2, 2) == count_sequences("orange", 2, 2).count
+
+
+def test_choice_count_is_the_unit_count_at_one_step():
+    # enumeration_size counts the choices without listing them
+    for rule in qam.RULES:
+        entry = qam.rule_entry(rule)
+        for s in range(0, 7):
+            steps = 2 if entry.has_ell else 1
+            assert qam.enumeration_size(rule, s, 2) == len(entry.choices(s)) * steps * 2 * 64
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,13 +402,14 @@ def test_two_halves_matches_recursion_oracle(monkeypatch):
 def test_dedup_memory_guard_raises_before_any_encode(monkeypatch):
     encodes = []
 
-    def spy(params, K, z):
+    def spy(stack, K, z, pis):
+        params = stack[0]
         encodes.append(params)
-        return np.zeros((len(K), len(params.seed) << params.m), dtype=complex)
+        return np.zeros((len(stack) * len(pis) * len(K), len(params.seed) << params.m), dtype=complex)
 
     monkeypatch.setattr(qam, "encode_family", spy)
-    # green at s=8, m=4: 1,572,864 keys take at most 629 MB at length 16
-    # and 1.84 GB at length 64, both under the count guard
+    # green at s=8, m=4: 1,572,864 keys take at most 453 MB at length 16
+    # and 1.66 GB at length 64, both under the count guard
     size = qam.enumeration_size("green", 8, 4)
     assert size <= qam.DEFAULT_ENUM_GUARD
     assert size * (16 * 16 + qam._KEY_OVERHEAD_BYTES) <= qam.MAX_DEDUP_BYTES
