@@ -35,7 +35,7 @@ import numpy as np
 from .encoder import (  # noqa: F401
     EncoderParams, SeedPair, encode_family, encode_pair, recursion_to_encoder,
 )
-from .sequences import finite_steps
+from .sequences import finite_steps, permutation
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
@@ -533,8 +533,8 @@ def enumerate_rule(
     CS_FORGE_MAX_ENUM environment variable).
     """
     entry = rule_entry(rule)
-    pis = np.array([tuple(p) for p in pis] if pis is not None else list(
-        itertools.permutations(range(1, m + 1)))).reshape(-1, m)
+    pis = np.array([permutation(p, m, 1, "pi") for p in pis] if pis is not None else list(
+        itertools.permutations(range(1, m + 1))), dtype=np.intp).reshape(-1, m)
     pis.flags.writeable = False
     ells = list(ells) if ells is not None else list(range(1, m + 1))
     size = enumeration_size(rule, s, m, len(pis), len(ells))

@@ -304,6 +304,16 @@ def test_tensor_walk_matches_reference_walk(rule, s, m, pis, n_seed):
     assert keys == list(first_seen)
 
 
+def test_walk_checks_each_order():
+    # integral floats are orders, as in EncoderParams; a row of the wrong length is not
+    floats = [values for *_, values in enumerate_rule("yellow", 2, 2, pis=[(2.0, 1.0)])]
+    ints = [values for *_, values in enumerate_rule("yellow", 2, 2, pis=[(2, 1)])]
+    assert all(np.array_equal(a, b) for a, b in zip(floats, ints)) and len(floats) == len(ints)
+    for pis in ([(1, 2, 1, 2)], [(1, 1)], [(1,)]):
+        with pytest.raises(ValueError, match="pi"):
+            list(enumerate_rule("yellow", 2, 2, pis=pis))
+
+
 @pytest.mark.parametrize("hashes", [
     lambda words: np.zeros(len(words), dtype=np.uint64),  # every row collides
     lambda words: words[:, 0] & np.uint64(3),  # rows collide in four classes
