@@ -281,8 +281,8 @@ class _Tables(NamedTuple):
     bits: np.ndarray  # (Q, 2^m, m): column n holds b_(n+1) of block x
     amp_c: np.ndarray  # (Q, 2^m) amplitude exponents per block
     amp_d: np.ndarray
-    quad_c: np.ndarray  # (H/2) q per block; callers add sum k_n b_n and k'
-    quad_d: np.ndarray  # (H/2) (b_m xor (q mod 2)); callers add sum k_n b_n and k''
+    phase_c: np.ndarray  # (Q, 2^m) (H/2) q + sum k_n b_n + k' per block
+    phase_d: np.ndarray  # (Q, 2^m) (H/2) (b_m xor (q mod 2)) + sum k_n b_n + k''
     blocks: np.ndarray  # (Q, 2^m, N): the seed copy of each block
     # (Q, 2^m * N): where each block element lands; None when d = 0, where
     # block x fills elements x * N to x * N + N - 1 and nothing overlaps
@@ -317,19 +317,21 @@ def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
                      + np.arange(n_seed)).reshape(len(bits), -1)
     blocks = np.stack([p.seed.a.values, p.seed.b.values]).astype(complex)[bits[..., 0]]
     w = 2.0 * math.pi / p.H
-    e = np.repeat([q.e for q in ps], len(pis), axis=0)
+    # per cell: e (m), e', k (m), k', k''
+    knobs = np.repeat([[*q.e, q.e_prime, *q.k, q.k_prime, q.k_dprime] for q in ps], len(pis), axis=0)
+    e, e_prime, k, k_prime, k_dprime = np.split(knobs, [m, m + 1, 2 * m + 1, 2 * m + 2], axis=1)
     # huge amplitude exponents overflow to inf or nan here; the power check rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        pair_sum = ((bits[..., :-1] ^ bits[..., 1:]) @ e[:, :-1, None])[..., 0] + np.repeat(
-            [[q.e_prime] for q in ps], len(pis), axis=0)
+        pair_sum = ((bits[..., :-1] ^ bits[..., 1:]) @ e[:, :-1, None])[..., 0] + e_prime
         amp_c = e[:, -1:] * top + pair_sum
         amp_d = e[:, -1:] * (1 - top) + pair_sum
         scale = np.exp(2 * w * amp_c) + np.exp(2 * w * amp_d)
         power = 2.0 * total * np.sum(np.abs(blocks) ** 2 * scale[..., None], axis=(1, 2))
     if not np.all((0.0 < power) & (power < math.inf)):
         raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
-    return _Tables(bits, amp_c, amp_d, p.H / 2 * quad, p.H / 2 * (top ^ (quad & 1)),
-                   blocks, positions, total)
+    linear = (bits @ k[..., None])[..., 0]
+    return _Tables(bits, amp_c, amp_d, p.H / 2 * quad + linear + k_prime,
+                   p.H / 2 * (top ^ (quad & 1)) + linear + k_dprime, blocks, positions, total)
 
 
 def _coefficients(H: int, amp, phase) -> np.ndarray:
@@ -382,10 +384,9 @@ def encode_pair(params: EncoderParams) -> EncodedPair:
     """
     p = params
     t = _tables([p], np.array([p.pi]))
-    linear = t.bits @ np.asarray(p.k)
     c, d = np.empty((2, 1, 1, t.total), dtype=complex)
-    _place(t, _coefficients(p.H, t.amp_c, t.quad_c + linear + p.k_prime)[:, None], c)
-    _place(t, _coefficients(p.H, t.amp_d, t.quad_d + linear + p.k_dprime)[:, None], d)
+    _place(t, _coefficients(p.H, t.amp_c, t.phase_c)[:, None], c)
+    _place(t, _coefficients(p.H, t.amp_d, t.phase_d)[:, None], d)
     overlap = t.positions is not None and np.max(np.bincount(t.positions[0])) > 1
     return EncodedPair(c=ComplexSequence(c[0, 0]), d=ComplexSequence(d[0, 0]), overlap=bool(overlap))
 
@@ -422,12 +423,9 @@ def encode_family(params, K, z, pis=None) -> np.ndarray:
             sorted(pi) != list(range(1, p.m + 1)) for pi in pis.tolist()):
         raise ValueError(f"pis must be rows of permutations of 1..{p.m}, got {pis.tolist()}")
     t = _tables(ps, pis)
-    steps = np.repeat([q.k for q in ps], len(pis), axis=0)
-    base = t.quad_c + (t.bits @ steps[..., None])[..., 0] + np.repeat(
-        [[q.k_prime] for q in ps], len(pis), axis=0)
     bits_t = np.swapaxes(t.bits, 1, 2).astype(float)
     # When K and z hold small non-negative integers, as in the exhaustive
-    # walk, block x of a row takes one of a few phases (base + s) + z with
+    # walk, block x of a row takes one of a few phases (phase_c + s) + z with
     # s = sum K_n b_n: the coefficients are then taken once per (cell,
     # block, s, z) and looked up, which gives the same floats
     n_sum, n_z = K.sum(axis=1).max(initial=0) + 1, z.max(initial=0) + 1
@@ -436,7 +434,7 @@ def encode_family(params, K, z, pis=None) -> np.ndarray:
     out = np.empty((len(bits_t), len(K), t.total), dtype=complex)
     # per row: phases and coefficients per block, values, weights and index
     # per element, two bincount sums and the complex result per output slot
-    row_bytes = 56 * len(base[0]) + 48 * t.blocks[0].size + 32 * t.total
+    row_bytes = 56 * t.bits.shape[1] + 48 * t.blocks[0].size + 32 * t.total
     rows = max(1, FAMILY_CHUNK_BYTES // row_bytes)
     # whole cells at a time while their rows fit, else part of one cell
     step, rows = max(1, rows // max(len(K), 1)), max(1, min(rows, len(K)))
@@ -446,13 +444,13 @@ def encode_family(params, K, z, pis=None) -> np.ndarray:
             chunk = slice(lo, lo + rows)
             if small and n_sum * n_z <= len(K[chunk]):
                 table = _coefficients(p.H, t.amp_c[cells, :, None, None], (
-                    base[cells, :, None, None] + np.arange(n_sum)[:, None]) + np.arange(n_z))
+                    t.phase_c[cells, :, None, None] + np.arange(n_sum)[:, None]) + np.arange(n_z))
                 # the table entry of each (cell, row, block)
                 code = (K[chunk] @ bits_t[cells] * n_z + z[chunk, None]).astype(np.intp)
                 code += np.arange(table[..., 0, 0].size).reshape(len(table), 1, -1) * int(n_sum * n_z)
                 coef = table.reshape(-1)[code]
             else:
-                phase = (base[cells, None] + K[chunk] @ bits_t[cells]) + z[chunk, None]
+                phase = (t.phase_c[cells, None] + K[chunk] @ bits_t[cells]) + z[chunk, None]
                 coef = _coefficients(p.H, t.amp_c[cells, None], phase)
             _place(t, coef, out[cells, chunk], cells)
     return out.reshape(-1, t.total)
