@@ -27,8 +27,13 @@ MAX_CODEBOOK = 1 << 16
 
 _CHUNK = 4096  # trials per noise draw
 
-# size of one block of nearest-neighbour scores: rows of M float64 numbers
-_BLOCK_BYTES = 1 << 24
+# size of one tile of nearest-neighbour scores, rows x cols float64 numbers:
+# small enough to stay in a core's L2 cache while argmax reads it back
+_TILE_BYTES = 1 << 19
+# fewest received rows per tile, so that each product call stays amortized; a
+# codebook too large for this many rows of all M scores is split into column
+# tiles of _TILE_BYTES // (8 * _TILE_MIN_ROWS) words
+_TILE_MIN_ROWS = 64
 
 
 class CodebookLimitError(RuntimeError):
@@ -64,22 +69,97 @@ class SimReport:
         }
 
 
-def _prepare_codebook(codebook) -> np.ndarray:
-    words = np.asarray([as_array(w) for w in codebook], dtype=complex)
+def _prepare_codebook(codebook) -> tuple[np.ndarray, np.ndarray]:
+    """The first 2^floor(log2(M)) words, the ones that carry bits, and their energies."""
+    if isinstance(codebook, np.ndarray):
+        words = np.ascontiguousarray(codebook, dtype=complex)
+    else:
+        words = np.asarray([as_array(w) for w in codebook], dtype=complex)
     if words.ndim != 2 or len(words) < 2:
         raise ValueError("codebook must hold at least two equal-length sequences")
     if len(words) > MAX_CODEBOOK:
         raise CodebookLimitError(f"codebook of {len(words)} exceeds {MAX_CODEBOOK}")
-    return words
+    if not words.shape[1]:
+        raise ValueError("codebook words must not be empty")
+    used = words[: 1 << (len(words).bit_length() - 1)]
+    norms = np.sum(np.abs(used) ** 2, axis=1)
+    energy = float(np.mean(norms))
+    if not (math.isfinite(energy) and energy > 0.0):
+        raise ValueError(f"codebook words need a finite positive mean energy, got {energy}")
+    return used, norms
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
+def _noise_level(eb: float, ebn0_db: float) -> float:
+    """N0 = Eb / 10^(EbN0_dB/10); ValueError unless it is a finite positive number."""
+    try:
+        n0 = eb / 10.0 ** (ebn0_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not (math.isfinite(n0) and n0 > 0.0):
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite positive noise level")
+    return n0
+
+
+def _tile_shape(size: int) -> tuple[int, int]:
+    """Rows and columns of one score tile for a codebook of ``size`` words."""
+    rows = _TILE_BYTES // (8 * size)
+    if rows >= _TILE_MIN_ROWS:
+        return rows, size
+    return _TILE_MIN_ROWS, max(1, _TILE_BYTES // (8 * _TILE_MIN_ROWS))
+
+
+class _TiledDetector:
+    """First maximum of each row of ``feats @ [2 c; -||c||^2]``, one tile at a time.
+
+    Each column tile holds a contiguous copy of its weight columns.  Tiles
+    after the first replace a row's running (best score, index) only where
+    their own maximum is strictly greater, so the first maximum wins overall
+    as ``argmax`` picks it within a tile.
+    """
+
+    def __init__(self, words: np.ndarray, norms: np.ndarray):
+        size = len(words)
+        self.rows, cols = _tile_shape(size)
+        self.tiles = [
+            (start, np.vstack([2.0 * words[start : start + cols].view(float).T,
+                               -norms[start : start + cols]]))
+            for start in range(0, size, cols)
+        ]
+        self.scores = np.empty(self.rows * min(cols, size))
+        self.decided = np.empty(_CHUNK, dtype=np.intp)
+        self.best = np.empty(_CHUNK)
+        self.local = np.empty(self.rows, dtype=np.intp)
+        self.row_index = np.arange(self.rows)
+
+    def decide(self, feats: np.ndarray) -> np.ndarray:
+        batch = len(feats)
+        for t, (start, weights) in enumerate(self.tiles):
+            cols = weights.shape[1]
+            for i in range(0, batch, self.rows):
+                block = feats[i : i + self.rows]
+                n = len(block)
+                scores = self.scores[: n * cols].reshape(n, cols)
+                np.matmul(block, weights, out=scores)
+                if len(self.tiles) == 1:
+                    np.argmax(scores, axis=1, out=self.decided[i : i + n])
+                    continue
+                arg = self.local[:n]
+                np.argmax(scores, axis=1, out=arg)
+                top = scores[self.row_index[:n], arg]
+                arg += start
+                if t == 0:
+                    self.best[i : i + n] = top
+                    self.decided[i : i + n] = arg
+                    continue
+                better = top > self.best[i : i + n]
+                np.copyto(self.best[i : i + n], top, where=better)
+                np.copyto(self.decided[i : i + n], arg, where=better)
+        return self.decided[:batch]
+
+
+def _bit_errors(sent: np.ndarray, decided: np.ndarray) -> int:
+    """Differing bits between two index vectors whose values are below 2^16."""
+    return int(np.count_nonzero(np.unpackbits((sent ^ decided).astype(np.uint16).view(np.uint8))))
 
 
 def min_distance_sim(
@@ -98,28 +178,24 @@ def min_distance_sim(
     for point in ebn0_db:
         if math.isnan(point) or point == -math.inf:
             raise ValueError(f"Eb/N0 must be a number or +inf, got {point}")
-    words = _prepare_codebook(codebook)
-    bits = int(math.floor(math.log2(len(words))))
-    used = words[: 1 << bits]
-    norms = np.sum(np.abs(used) ** 2, axis=1)
+    used, norms = _prepare_codebook(codebook)
+    bits = len(used).bit_length() - 1
     eb = float(np.mean(norms)) / bits
+    sigmas = [
+        0.0 if point == math.inf else math.sqrt(_noise_level(eb, point) / 2.0)
+        for point in ebn0_db
+    ]
     # ||r - c||^2 = ||r||^2 - (2 Re<r, c> - ||c||^2), and the first term is the
     # same for every candidate c.  Read r and c as real vectors
     # [Re x_0, Im x_0, Re x_1, ...] and append 1 to r: the bracket is then one
-    # real product with the weight column [2 c; -||c||^2], so one matmul
-    # scores a block of received rows and one argmax decides it (the first
-    # maximum wins, as the first minimum of the distance would)
-    weights = np.vstack([2.0 * used.view(float).T, -norms])
-    rows = max(1, _BLOCK_BYTES // (8 * len(used)))
+    # real product with the weight column [2 c; -||c||^2].  The detector
+    # scores received rows against codewords tile by tile and keeps each
+    # row's first maximum, as the first minimum of the distance would win
+    detector = _TiledDetector(used, norms)
 
     rng = np.random.default_rng(rng_seed)
     errors: list[int] = []
-    for point in ebn0_db:
-        if point == math.inf:
-            sigma = 0.0
-        else:
-            n0 = eb / 10.0 ** (point / 10.0)
-            sigma = math.sqrt(n0 / 2.0)
+    for sigma in sigmas:
         bit_errs = 0
         remaining = trials
         while remaining > 0:
@@ -129,14 +205,10 @@ def min_distance_sim(
             noise = sigma * (
                 rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)
             )
-            feats = np.empty((batch, len(weights)))
+            feats = np.empty((batch, 2 * used.shape[1] + 1))
             feats[:, :-1] = (tx + noise).view(float)
             feats[:, -1] = 1.0
-            decided = np.concatenate([
-                np.argmax(feats[i : i + rows] @ weights, axis=1)
-                for i in range(0, batch, rows)
-            ])
-            bit_errs += int(np.sum(_popcount(idx ^ decided)))
+            bit_errs += _bit_errors(idx, detector.decide(feats))
             remaining -= batch
         errors.append(bit_errs)
 
@@ -161,7 +233,6 @@ def pairwise_error_rate(word_a, word_b, ebn0_db: float, bits: int = 1) -> float:
     if len(a) != len(b):
         raise ValueError("codeword lengths differ")
     energy = 0.5 * float(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
-    eb = energy / bits
-    n0 = eb / 10.0 ** (ebn0_db / 10.0)
+    n0 = _noise_level(energy / bits, ebn0_db)
     dist = float(np.linalg.norm(a - b))
     return 0.5 * math.erfc(dist / math.sqrt(2.0 * n0) / math.sqrt(2.0))

@@ -549,6 +549,34 @@ def test_simulate_rejects_nan_and_minus_inf(capsys, ebn0):
     assert err.count("\n") == 1 and "Eb/N0" in err
 
 
+@pytest.mark.parametrize("ebn0", ["4000", "-4000", "0,4000"])
+def test_simulate_rejects_an_eb_n0_without_a_noise_level(capsys, ebn0):
+    # 10^400 overflows a float and 10^-400 is 0, so N0 would be 0 or unbounded
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", "green", "--s", "1", "--m", "2",
+        f"--ebn0={ebn0}", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "noise level" in err
+
+
+@pytest.mark.parametrize("words, reason", [
+    ([{"re": [], "im": []}] * 2, "empty"),
+    ([{"re": [0, 0], "im": [0, 0]}] * 4, "energy"),
+])
+def test_simulate_rejects_codebooks_without_energy(tmp_path, capsys, words, reason):
+    # Eb = 0 in both, so an Eb/N0 point has no meaning
+    cb_file = tmp_path / "codebook.json"
+    cb_file.write_text(json.dumps({"sequences": words}))
+    code, out, err = run_cli(
+        capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and reason in err
+
+
 def test_simulate_rejects_malformed_codebook(tmp_path, capsys):
     cb_file = tmp_path / "codebook.json"
     cb_file.write_text(json.dumps([1, 2]))

@@ -116,11 +116,76 @@ def test_decisions_match_the_difference_tensor(monkeypatch, block_rows):
     rng = np.random.default_rng(11)
     words = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
     if block_rows is not None:
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * len(words) * block_rows)
+        monkeypatch.setattr(simulate, "_TILE_BYTES", 8 * len(words) * block_rows)
     ebn0 = [-2.0, 4.0, math.inf]
     report = min_distance_sim(words, ebn0, trials=5000, rng_seed=3)
     assert report.bit_errors == direct_bit_errors(words, ebn0, 5000, 3)
     assert report.bit_errors[0] > 0
+
+
+def use_tiles(monkeypatch, rows, cols, size):
+    """Patch the tile budget so that a ``size``-word codebook gets rows x cols tiles."""
+    monkeypatch.setattr(simulate, "_TILE_MIN_ROWS", rows)
+    monkeypatch.setattr(simulate, "_TILE_BYTES", 8 * rows * cols)
+    assert simulate._tile_shape(size) == (rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 64), (7, 64), (7, 16), (5, 9)])
+def test_tiles_that_split_trials_and_codewords_match_the_difference_tensor(
+    monkeypatch, rows, cols
+):
+    rng = np.random.default_rng(12)
+    words = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+    use_tiles(monkeypatch, rows, cols, len(words))
+    ebn0 = [-2.0, 4.0, math.inf]
+    report = min_distance_sim(words, ebn0, trials=5000, rng_seed=4)
+    assert report.bit_errors == direct_bit_errors(words, ebn0, 5000, 4)
+    assert report.bit_errors[0] > 0
+
+
+def test_copy_in_a_later_column_tile_decides_its_first_copy(monkeypatch):
+    rng = np.random.default_rng(13)
+    words = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+    # 16-word column tiles: word 5 recurs in the same tile and in every later one
+    first_copy = {7: 5, 21: 5, 40: 5, 63: 5, 33: 20}
+    for copy, first in first_copy.items():
+        words[copy] = words[first]
+    use_tiles(monkeypatch, 64, 16, len(words))
+    for seed in (1, 2):
+        report = min_distance_sim(words, [math.inf], trials=4096, rng_seed=seed)
+        idx = np.random.default_rng(seed).integers(0, len(words), size=4096)
+        expected = sum(bin(int(i) ^ first_copy.get(int(i), int(i))).count("1") for i in idx)
+        assert report.bit_errors == (expected,)
+        assert expected > 0
+        ebn0 = [0.0, 4.0, math.inf]
+        report = min_distance_sim(words, ebn0, trials=500, rng_seed=seed)
+        assert report.bit_errors == direct_bit_errors(words, ebn0, 500, seed)
+
+
+def test_detector_scratch_does_not_grow_with_the_codebook():
+    # beyond its weight tiles and norms (8 (2n + 1) + 8 bytes a word), the
+    # detector holds one score tile and one chunk of trials at any M; a 16 MiB
+    # score block left some 14 MiB of scratch at M = 2^16
+    scratch = {}
+    for size in (1 << 10, MAX_CODEBOOK):
+        rng = np.random.default_rng(6)
+        words = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+        tracemalloc.start()
+        try:
+            min_distance_sim(words, [3.0], trials=4096, rng_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch[size] = peak - size * (8 * 5 + 8)
+    assert simulate._tile_shape(MAX_CODEBOOK) == simulate._tile_shape(1 << 10)
+    assert scratch[MAX_CODEBOOK] < scratch[1 << 10] + 2**18, scratch
+    assert scratch[MAX_CODEBOOK] < 2 * 2**20, scratch
+
+
+@pytest.mark.parametrize("point", [4000.0, -4000.0])
+def test_pairwise_rate_rejects_an_eb_n0_without_a_noise_level(point):
+    with pytest.raises(ValueError, match="noise level"):
+        pairwise_error_rate(PAIR[0], PAIR[1], point)
 
 
 @pytest.mark.parametrize("rule", ["green", "yellow", "orange", "blue"])
