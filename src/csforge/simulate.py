@@ -125,7 +125,7 @@ class _TiledDetector:
                                -norms[start : start + cols]]))
             for start in range(0, size, cols)
         ]
-        self.scores = np.empty(self.rows * min(cols, size))
+        self.scores = np.empty(self.rows * self.tiles[0][1].shape[1])
         self.decided = np.empty(_CHUNK, dtype=np.intp)
         self.best = np.empty(_CHUNK)
         self.local = np.empty(self.rows, dtype=np.intp)
@@ -232,6 +232,8 @@ def pairwise_error_rate(word_a, word_b, ebn0_db: float, bits: int = 1) -> float:
     b = as_array(word_b)
     if len(a) != len(b):
         raise ValueError("codeword lengths differ")
+    if bits < 1:
+        raise ValueError(f"bits must be at least 1, got {bits}")
     energy = 0.5 * float(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
     n0 = _noise_level(energy / bits, ebn0_db)
     dist = float(np.linalg.norm(a - b))

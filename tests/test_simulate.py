@@ -164,8 +164,7 @@ def test_copy_in_a_later_column_tile_decides_its_first_copy(monkeypatch):
 
 def test_detector_scratch_does_not_grow_with_the_codebook():
     # beyond its weight tiles and norms (8 (2n + 1) + 8 bytes a word), the
-    # detector holds one score tile and one chunk of trials at any M; a 16 MiB
-    # score block left some 14 MiB of scratch at M = 2^16
+    # detector holds one 512 KiB score tile and one chunk of trials at any M
     scratch = {}
     for size in (1 << 10, MAX_CODEBOOK):
         rng = np.random.default_rng(6)
@@ -186,6 +185,12 @@ def test_detector_scratch_does_not_grow_with_the_codebook():
 def test_pairwise_rate_rejects_an_eb_n0_without_a_noise_level(point):
     with pytest.raises(ValueError, match="noise level"):
         pairwise_error_rate(PAIR[0], PAIR[1], point)
+
+
+@pytest.mark.parametrize("bits", [0, -1])
+def test_pairwise_rate_needs_a_bit_per_word(bits):
+    with pytest.raises(ValueError, match="bits"):
+        pairwise_error_rate(PAIR[0], PAIR[1], 0.0, bits=bits)
 
 
 @pytest.mark.parametrize("rule", ["green", "yellow", "orange", "blue"])
