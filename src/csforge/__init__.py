@@ -32,7 +32,6 @@ from .encoder import (
     run_recursion,
 )
 from .qam import (
-    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_blocks,
@@ -60,7 +59,6 @@ __all__ = [
     "EncoderParams",
     "GcpCheck",
     "PowerTrace",
-    "QamGeometry",
     "RecursionParams",
     "RuleSpec",
     "SeedPair",

@@ -8,7 +8,7 @@ OFDM symbol whose frequency coefficients are the sequence.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,8 +116,11 @@ class GcpCheck:
 def is_gcp(a, b, tol: float = GCP_TOL) -> GcpCheck:
     """Check that the off-peak autocorrelations of a and b cancel.
 
-    Passes when max_{k!=0} |rho_a(k) + rho_b(k)| <= tol * (rho_a(0) + rho_b(0)).
+    Passes when max_{k!=0} |rho_a(k) + rho_b(k)| <= tol * (rho_a(0) + rho_b(0));
+    ValueError unless tol is finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     a = as_array(a)
     b = as_array(b)
     if len(a) != len(b):
@@ -165,11 +168,6 @@ class PowerTrace:
         writer.writerow(["t_norm", "power"])
         for t, p in zip(self.t_norm, self.power):
             writer.writerow([repr(float(t)), repr(float(p))])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:

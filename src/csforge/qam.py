@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,12 +38,10 @@ from .sequences import finite_steps, permutation
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
-    "ENUM_GUARD_ENV",
     "EnumerationLimitError",
     "Geometry",
     "MAX_COUNT_VARS",
     "MAX_DEDUP_BYTES",
-    "QamGeometry",
     "RULES",
     "RuleCount",
     "RuleEntry",
@@ -76,15 +73,14 @@ RULE_MODULUS = 4  # all five rules live on quaternary phases
 # exponent units per radian and per neper when H = 4
 _SCALE = 4.0 / (2.0 * math.pi)
 
-ENUM_GUARD_ENV = "CS_FORGE_MAX_ENUM"
 DEFAULT_ENUM_GUARD = 10_000_000
 # Most bytes the dedup store may take, counted for every combination of the
 # walk as if all were distinct: a row of 16 bytes per complex element, and
-# _KEY_OVERHEAD_BYTES for its hash, its position and the merge scratch
+# _KEY_OVERHEAD_BYTES for its hash and its share of the slot table
 MAX_DEDUP_BYTES = 1 << 30
-# tracemalloc (CPython 3.11, walks of 3,072 to 110,592 distinct rows of 8 to
-# 32 elements) shows 25 bytes per distinct row beyond the row itself, plus
-# under 1 MB of block scratch
+# tracemalloc (CPython 3.11, walks of 98,304 to 221,184 rows of 8 to 16
+# elements) shows 23 to 25 bytes per walk row beyond the row itself: 8 for
+# the hash, 8 to 16 for the table and about 1.2 MB of block scratch
 _KEY_OVERHEAD_BYTES = 32
 
 # About how many bytes of first outputs one encode of the walk writes (one
@@ -123,38 +119,6 @@ def lattice_geometry(u: int, v: int) -> Geometry:
     theta = math.atan2(im, re)
     phi = math.pi / 4 - theta
     return Geometry(distance, distance / math.sqrt(2.0), theta, phi, 2 * phi)
-
-
-@dataclass(frozen=True)
-class QamGeometry:
-    """Derived structure of the 4s^2-point lattice."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be a positive integer")
-
-    @property
-    def n_quadrant(self) -> int:
-        return self.s**2
-
-    @property
-    def n_diagonal(self) -> int:
-        return self.s
-
-    @property
-    def n_offdiagonal(self) -> int:
-        return self.s * (self.s - 1) // 2
-
-    @property
-    def n_triangle(self) -> int:
-        return self.s * (self.s + 1) // 2
-
-    def geometry(self, u: int, v: int) -> Geometry:
-        if not (1 <= u <= self.s and 1 <= v <= self.s):
-            raise ValueError(f"indices ({u}, {v}) out of range for s={self.s}")
-        return lattice_geometry(u, v)
 
 
 def lattice_points(s: int) -> np.ndarray:
@@ -479,12 +443,6 @@ def sequence_key(values) -> bytes:
     return _key_values(values).tobytes()
 
 
-def _enum_guard(guard: int | None) -> int:
-    if guard is not None:
-        return int(guard)
-    return int(os.environ.get(ENUM_GUARD_ENV, DEFAULT_ENUM_GUARD))
-
-
 def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     """Raw combination count the exhaustive walk would visit.
 
@@ -529,8 +487,7 @@ def enumerate_rule(
     k (lexicographic, orange's k[ell-1] last), then z.
 
     Raises EnumerationLimitError before any encode when the raw combination
-    count exceeds the guard (default 1e7, overridable via the
-    CS_FORGE_MAX_ENUM environment variable).
+    count exceeds the guard (DEFAULT_ENUM_GUARD when None).
     """
     entry = rule_entry(rule)
     pis = np.array([permutation(p, m, 1, "pi") for p in pis] if pis is not None else list(
@@ -538,7 +495,7 @@ def enumerate_rule(
     pis.flags.writeable = False
     ells = list(ells) if ells is not None else list(range(1, m + 1))
     size = enumeration_size(rule, s, m, len(pis), len(ells))
-    limit = _enum_guard(guard)
+    limit = DEFAULT_ENUM_GUARD if guard is None else int(guard)
     if size > limit:
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
@@ -585,71 +542,54 @@ def _row_hashes(words: np.ndarray) -> np.ndarray:
 class _DistinctRows:
     """The distinct key rows seen so far, found by hash and confirmed word by word.
 
-    ``rows[:count]`` holds them in the order first seen, in room for
-    ``capacity`` rows (pages never written are never touched).  ``levels``
-    indexes them as (hashes, positions) pairs sorted by hash, each level
-    over twice as long as the next, so that a run merges into short levels
-    and the long ones merge rarely.
+    ``rows[:count]`` and ``hashes[:count]`` hold them, in room for
+    ``capacity`` rows (pages never written are never touched).  ``slots`` is
+    an open-addressing table of 2^bits >= 2 * capacity positions in
+    ``rows``, -1 where free.  A row's home slot is the top bits of its hash
+    (lattice values have zero low mantissa halves, so the low bits hardly
+    vary), and it probes the slots after it in turn.
     """
 
     def __init__(self, capacity: int, width: int):
         self.rows = np.empty((capacity, width), dtype=np.uint64)
+        self.hashes = np.empty(capacity, dtype=np.uint64)
         self.count = 0
-        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
-        self.position = np.uint32 if capacity <= 1 << 32 else np.intp
+        bits = (2 * capacity - 1).bit_length()  # 1 at capacity 0
+        # MAX_DEDUP_BYTES keeps capacity far below 2^31
+        self.slots = np.full(1 << bits, -1, dtype=np.int32)
+        self.shift = np.uint64(64 - bits)
 
     def add(self, keys: np.ndarray) -> np.ndarray:
         """Store the rows of ``keys`` (R, W) that equal no row seen before,
         the first of equal rows only; return their indices, ascending."""
         h = _row_hashes(keys)
-        # rows in hash order (a stable sort keeps equal hashes in row order);
-        # a row whose hash and words equal its predecessor's is a repeat
-        order = np.argsort(h, kind="stable")
-        h = h[order]
-        pairs = np.flatnonzero(h[1:] == h[:-1])
-        same = np.all(keys[order[pairs]] == keys[order[pairs + 1]], axis=1)
-        head = np.ones(len(h), dtype=bool)
-        head[pairs[same] + 1] = False
-        for value in dict.fromkeys(h[pairs[~same]].tolist()):  # hash collisions, row by row
-            run = slice(np.searchsorted(h, value, "left"), np.searchsorted(h, value, "right"))
-            firsts = {keys[i].tobytes(): i for i in order[run][::-1]}
-            head[run] = np.isin(order[run], list(firsts.values()))
-        first, h = order[head], h[head]
-        # then against the stored rows: a row with a stored hash is seen
-        # when its words equal those of a stored row with that hash
-        seen = np.zeros(len(first), dtype=bool)
-        for hashes, where in self.levels:
-            at = np.minimum(np.searchsorted(hashes, h), len(hashes) - 1)
-            hits = np.flatnonzero(~seen & (hashes[at] == h))
-            seen[hits] = np.all(self.rows[where[at[hits]]] == keys[first[hits]], axis=1)
-            for i in hits[~seen[hits]]:
-                j = at[i] + 1
-                while not seen[i] and j < len(hashes) and hashes[j] == h[i]:
-                    seen[i] = np.array_equal(self.rows[where[j]], keys[first[i]])
-                    j += 1
-        fresh = np.flatnonzero(~seen)
-        is_new = np.zeros(len(keys), dtype=bool)
-        is_new[first[fresh]] = True
-        new = np.flatnonzero(is_new)
-        self.rows[self.count : self.count + len(new)] = keys[new]
-        level = h[fresh], (self.count + np.cumsum(is_new)[first[fresh]] - 1).astype(self.position)
-        self.count += len(new)
-        while self.levels and len(self.levels[-1][0]) <= 2 * len(level[0]):
-            level = _merge(self.levels.pop(), level)
-        if len(new):
-            self.levels.append(level)
-        return new
-
-
-def _merge(a, b):
-    """Two (hashes, positions) levels, each sorted by hash, as one."""
-    put = np.searchsorted(a[0], b[0]) + np.arange(len(b[0]))
-    old = np.ones(len(a[0]) + len(b[0]), dtype=bool)
-    old[put] = False
-    merged = np.empty(len(old), dtype=a[0].dtype), np.empty(len(old), dtype=a[1].dtype)
-    for out, x, y in zip(merged, a, b):
-        out[put], out[old] = y, x
-    return merged
+        slot = (h >> self.shift).astype(np.intp)
+        # rows by home slot, equal homes in row order: every pending row
+        # steps once a round, so the rows at one slot share a home and stay
+        # side by side, and the first of equal rows comes first
+        pending = np.argsort(slot, kind="stable")
+        slot = slot[pending]
+        new = np.zeros(len(keys), dtype=bool)
+        while len(pending):
+            # the first pending row at a free slot takes it and is stored
+            first = np.ones(len(slot), dtype=bool)
+            first[1:] = slot[1:] != slot[:-1]
+            won = np.flatnonzero(first & (self.slots[slot] < 0))
+            mine, end = pending[won], self.count + len(won)
+            new[mine] = True
+            self.rows[self.count : end], self.hashes[self.count : end] = keys[mine], h[mine]
+            self.slots[slot[won]] = np.arange(self.count, end)
+            self.count = end
+            # the others stop at a slot that holds the same hash and words,
+            # or step to the next slot
+            at = self.slots[slot]
+            done = self.hashes[at] == h[pending]
+            done[won] = False
+            done[done] = (self.rows[at[done]] == keys[pending[done]]).all(axis=1)
+            done[won] = True
+            keep = ~done
+            pending, slot = pending[keep], (slot[keep] + 1) % len(self.slots)
+        return np.flatnonzero(new)
 
 
 def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:

@@ -8,6 +8,7 @@ from _factories import random_encoder_params
 from csforge import (
     ComplexSequence,
     EncoderParams,
+    SeedPair,
     apac,
     encode_pair,
     is_gcp,
@@ -137,6 +138,16 @@ def test_is_gcp_length_mismatch():
         is_gcp([1, 1], [1, 1, 1])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_is_gcp_rejects_bad_tolerance(tol):
+    # inf would pass any pair, nan and negative values none
+    for pair in (([1, 1], [1, -1]), ([1, 1], [1, 1])):
+        with pytest.raises(ValueError, match="tol"):
+            is_gcp(*pair, tol)
+        with pytest.raises(ValueError, match="tol"):
+            SeedPair(*pair, tol)
+
+
 def test_papr_bound_simple_values():
     assert papr_bound_db([5.0]) == pytest.approx(0.0)
     assert papr_bound_db([1, 1]) == pytest.approx(10 * np.log10(2.0))
@@ -234,15 +245,18 @@ def test_condition_implies_disjoint_support():
 
 def test_power_trace_csv_round_trip(tmp_path):
     _, trace = papr_oversampled_db([1, 1j, -1], 4)
-    text = trace.to_csv()
-    rows = list(csv.reader(io.StringIO(text)))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["t_norm", "power"]
     assert len(rows) == 1 + len(trace.power)
     parsed = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    assert np.array_equal(parsed[:, 0], trace.t_norm)
     assert np.array_equal(parsed[:, 1], trace.power)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    assert path.read_text() == text
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert buf.getvalue() == path.read_text()
 
 
 def test_clusters_and_support():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from csforge import cli
+from csforge import cli, qam
 from csforge.analysis import MAX_GRID_POINTS
 from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH, EncoderParams, encode_pair
 from csforge.qam import MAX_COUNT_VARS, on_lattice
@@ -300,6 +300,21 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert json.loads(out)["gcp_residual"] > 1e-9
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
+    pair = tmp_path / "pair.json"
+    assert run_cli(capsys, "encode", "--m", "3", "--H", "4", "--out", str(pair))[0] == 0
+    # a non-complementary pair as well: inf would pass it
+    same = tmp_path / "same.json"
+    record = {"values": {"re": [1.0, 1.0], "im": [0.0, 0.0]}}
+    same.write_text(json.dumps([record, record]))
+    for path in (pair, same):
+        code, out, err = run_cli(capsys, "verify", str(path), "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "tol" in err
+
+
 def test_verify_rejects_malformed_file(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -434,7 +449,7 @@ def test_enumerate_bounds_report_digits(capsys, argv, name):
 
 
 def test_enumerate_guard_exit(capsys, monkeypatch):
-    monkeypatch.setenv("CS_FORGE_MAX_ENUM", "16")
+    monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 16)
     code, _, err = run_cli(
         capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"
     )

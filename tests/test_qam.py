@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from csforge import (
 )
 from csforge.qam import (
     EnumerationLimitError,
-    QamGeometry,
     RuleSpec,
     count_sequences,
     distinct_sequences,
@@ -69,11 +69,6 @@ def test_geometry_identities_full_grid():
 
 def test_point_counts():
     for s in range(1, 9):
-        geo = QamGeometry(s)
-        assert geo.n_quadrant == s * s
-        assert geo.n_diagonal == s
-        assert geo.n_offdiagonal == s * (s - 1) // 2
-        assert geo.n_triangle == s * (s + 1) // 2
         assert len(lattice_points(s)) == 4 * s * s
 
 
@@ -215,10 +210,11 @@ def test_single_variable_counts_undercount():
 def test_enumeration_guard(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         list(enumerate_rule("green", 1, 2, guard=10))
-    monkeypatch.setenv(qam.ENUM_GUARD_ENV, "10")
+    # the default is read when the walk starts
+    monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 10)
     with pytest.raises(EnumerationLimitError):
         list(enumerate_rule("green", 1, 2))
-    monkeypatch.setenv(qam.ENUM_GUARD_ENV, "1000")
+    monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 1000)
     assert distinct_sequences("green", 1, 2) == 64
 
 
@@ -317,6 +313,8 @@ def test_walk_checks_each_order():
 @pytest.mark.parametrize("hashes", [
     lambda words: np.zeros(len(words), dtype=np.uint64),  # every row collides
     lambda words: words[:, 0] & np.uint64(3),  # rows collide in four classes
+    # hashes differ but share their top bits: every row starts at slot 0
+    lambda words: words[:, 0] & np.uint64(0xFFFF),
 ])
 def test_dedup_is_exact_when_hashes_collide(monkeypatch, hashes):
     expected = reference_distinct_keys("yellow", 2, 2, known_seed(2))
@@ -434,6 +432,19 @@ def test_dedup_memory_guard_raises_before_any_encode(monkeypatch):
     # the guard counts only the orders and steps walked
     next(distinct_values("green", 8, 4, pis=[(1, 2, 3, 4)], seed=known_seed(4)))
     assert len(encodes) == 3
+
+
+def test_dedup_guard_covers_the_walk_peak():
+    # the guard charges each walk row 16 bytes per element plus
+    # _KEY_OVERHEAD_BYTES; block scratch gets a fixed 1 MiB
+    size = qam.enumeration_size("yellow", 2, 4)
+    tracemalloc.start()
+    try:
+        assert distinct_sequences("yellow", 2, 4) == 122_880
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size * (16 * 16 + qam._KEY_OVERHEAD_BYTES) + (1 << 20)
 
 
 def test_distinct_rows_do_not_hold_their_block():
