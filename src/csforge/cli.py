@@ -377,8 +377,10 @@ def _codebook_from_args(args) -> np.ndarray:
             raise InputError(f"codebook file needs 'sequences' or a record list: {exc!r}") from exc
         return np.asarray(words, dtype=complex)
     if args.rule:
-        if not args.m or not args.s:
+        if args.m is None or args.s is None:
             raise InputError("--rule codebooks need --m and --s")
+        if args.m < 1 or args.s < 1:
+            raise InputError("s and m must be positive")
         if args.m > _SIM_MAX_VARS:
             raise GuardError(f"simulation limited to m <= {_SIM_MAX_VARS}")
         if not qam.enumeration_size(args.rule, args.s, args.m):
@@ -407,12 +409,13 @@ def cmd_simulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e3`` or ``-1,0`` as a value, and reports a usage error in one line."""
+    """Reads ``-1e3``, ``-1,0`` or ``-inf`` as a value, and reports a usage error in one line."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern takes only -1 and -1.5 for negative numbers
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern takes only -1 and -1.5 for negative numbers;
+        # -inf, -infinity and -nan are values too, for the value checks to refuse
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")

@@ -192,6 +192,13 @@ def min_distance_sim(
     # scores received rows against codewords tile by tile and keeps each
     # row's first maximum, as the first minimum of the distance would win
     detector = _TiledDetector(used, norms)
+    real_words = used.view(float)
+    # per call, filled in place chunk by chunk: the sent words as real rows,
+    # the real and imaginary noise, and the received rows [Re r_0, Im r_0, ..., 1]
+    sent_rows = np.empty((_CHUNK, real_words.shape[1]))
+    noise = np.empty((2, _CHUNK, used.shape[1]))
+    feats = np.empty((_CHUNK, real_words.shape[1] + 1))
+    feats[:, -1] = 1.0
 
     rng = np.random.default_rng(rng_seed)
     errors: list[int] = []
@@ -201,14 +208,27 @@ def min_distance_sim(
         while remaining > 0:
             batch = min(_CHUNK, remaining)
             idx = rng.integers(0, len(used), size=batch)
-            tx = used[idx]
-            noise = sigma * (
-                rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)
-            )
-            feats = np.empty((batch, 2 * used.shape[1] + 1))
-            feats[:, :-1] = (tx + noise).view(float)
-            feats[:, -1] = 1.0
-            bit_errs += _bit_errors(idx, detector.decide(feats))
+            # drawn at every point, noiseless ones too, so that each point
+            # sees the same stream whatever the grid holds
+            re, im = noise[0, :batch], noise[1, :batch]
+            rng.standard_normal(out=re)
+            rng.standard_normal(out=im)
+            if sigma:
+                rows = feats[:batch]
+                # "clip" writes straight into the buffer; the indices are in range
+                tx = np.take(real_words, idx, axis=0, out=sent_rows[:batch], mode="clip")
+                np.add(tx[:, 0::2], np.multiply(re, sigma, out=re), out=rows[:, 0:-1:2])
+                np.add(tx[:, 1::2], np.multiply(im, sigma, out=im), out=rows[:, 1:-1:2])
+                decided = detector.decide(rows)
+            else:
+                # a noiseless trial receives its codeword exactly: score each
+                # sent word once, and take the detector's own decision, so that
+                # a repeated word still decides its first copy
+                sent, where = np.unique(idx, return_inverse=True)
+                rows = feats[: len(sent)]
+                rows[:, :-1] = real_words[sent]
+                decided = detector.decide(rows)[where]
+            bit_errs += _bit_errors(idx, decided)
             remaining -= batch
         errors.append(bit_errs)
 

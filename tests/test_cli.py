@@ -127,6 +127,7 @@ def test_integer_lists_refuse_fractions(capsys, flag, value):
     (["--e-prime", "1000"], 2),
     (["--d", "1000000000,0"], 3),
     (["--e-prime", "-1e3"], 2),
+    (["--e-prime", "-inf"], 2),
 ])
 def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, "encode", "--m", "2", "--H", "4", *argv)
@@ -555,13 +556,27 @@ def test_simulate_rejects_trials_below_one(capsys, trials):
 
 @pytest.mark.parametrize("ebn0", ["nan", "0,nan", "-inf"])
 def test_simulate_rejects_nan_and_minus_inf(capsys, ebn0):
+    # a grid given as its own argument, such as -inf, is a value, not an option
+    for grid in ([f"--ebn0={ebn0}"], ["--ebn0", ebn0]):
+        code, out, err = run_cli(
+            capsys, "simulate", "--rule", "green", "--s", "1", "--m", "1",
+            *grid, "--trials", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Eb/N0" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "-3"), ("--m", "0"), ("--s", "0"), ("--s", "-2")])
+def test_simulate_rule_refuses_m_and_s_below_one(capsys, flag, value):
+    sizes = {"--s": "2", "--m": "2", flag: value}
     code, out, err = run_cli(
-        capsys, "simulate", "--rule", "green", "--s", "1", "--m", "1",
-        f"--ebn0={ebn0}", "--trials", "10",
+        capsys, "simulate", "--rule", "green", *(x for kv in sizes.items() for x in kv),
+        "--ebn0", "inf", "--trials", "10",
     )
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "Eb/N0" in err
+    assert err == "error: s and m must be positive\n"
 
 
 @pytest.mark.parametrize("ebn0", ["4000", "-4000", "0,4000"])

@@ -233,3 +233,76 @@ def test_detector_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+# bit errors recorded before noiseless points scored only their distinct words:
+# +inf first, in the middle and last, on two full chunks and a ragged one of 5 trials
+PINNED_GRID = [math.inf, 0.0, math.inf, 4.0, math.inf]
+PINNED_TRIALS = 2 * 4096 + 5
+
+
+@pytest.mark.parametrize("rule, bit_errors", [
+    ("green", (0, 11953, 0, 4106, 0)),
+    ("yellow", (0, 14345, 0, 5076, 0)),
+    ("orange", (0, 17665, 0, 6743, 0)),
+    ("blue", (0, 20552, 0, 6879, 0)),
+])
+def test_detect_codebook_reports_are_pinned(rule, bit_errors):
+    words = np.asarray(list(qam.distinct_values(rule, 2, 2)), dtype=complex)
+    report = min_distance_sim(words, PINNED_GRID, trials=PINNED_TRIALS, rng_seed=1)
+    assert report.bit_errors == bit_errors
+
+
+def scored_bit_errors(words, ebn0_db, trials, rng_seed):
+    """Bit errors when the detector scores every trial, noiseless ones too.
+
+    Builds each chunk's received rows as ``(tx + noise).view(float)``, with the
+    draws of ``min_distance_sim``, and hands all of them to one detector.
+    """
+    used, norms = simulate._prepare_codebook(words)
+    bits = len(used).bit_length() - 1
+    eb = float(np.mean(norms)) / bits
+    detector = simulate._TiledDetector(used, norms)
+    rng = np.random.default_rng(rng_seed)
+    errors = []
+    for point in ebn0_db:
+        sigma = 0.0 if point == math.inf else math.sqrt(eb / 10.0 ** (point / 10.0) / 2.0)
+        total = 0
+        for start in range(0, trials, 4096):
+            idx = rng.integers(0, len(used), size=min(4096, trials - start))
+            tx = used[idx]
+            rx = tx + sigma * (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape))
+            feats = np.hstack([rx.view(float), np.ones((len(idx), 1))])
+            total += sum(bin(int(v)).count("1") for v in idx ^ detector.decide(feats))
+        errors.append(total)
+    return tuple(errors)
+
+
+def near_duplicate_codebook(scale):
+    """64 words of length 8: word 0 at 3, 32 and 63 too, and word 0 plus 1e-12 at 5."""
+    rng = np.random.default_rng(14)
+    words = scale * (rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)))
+    words[[3, 32, 63]] = words[0]
+    words[5] = words[0] + 1e-12
+    return words
+
+
+def test_near_duplicate_matches_the_difference_tensor():
+    # at this scale a 1e-12 step is hundreds of ulps of the scores, so the
+    # detector tells the near-duplicate from word 0 as the distances do
+    words = near_duplicate_codebook(1e-6)
+    ebn0 = [math.inf, 3.0]
+    report = min_distance_sim(words, ebn0, trials=PINNED_TRIALS, rng_seed=2)
+    assert report.bit_errors == direct_bit_errors(words, ebn0, PINNED_TRIALS, 2)
+    idx = np.random.default_rng(2).integers(0, len(words), size=4096)
+    assert report.bit_errors[0] > 0 and 5 in idx
+
+
+def test_unresolved_near_duplicate_decides_as_a_scored_trial():
+    # at unit scale the 1e-12 step is below an ulp of the scores: a sent word
+    # must get the detector's own decision, whatever it is, not a lookup
+    words = near_duplicate_codebook(1.0)
+    ebn0 = [math.inf, 3.0]
+    for seed in (1, 2):
+        report = min_distance_sim(words, ebn0, trials=PINNED_TRIALS, rng_seed=seed)
+        assert report.bit_errors == scored_bit_errors(words, ebn0, PINNED_TRIALS, seed)
