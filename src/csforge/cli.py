@@ -54,11 +54,19 @@ def _complex_to_json(values) -> dict:
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
+def _real_array(values) -> np.ndarray:
+    """A list of JSON numbers as floats; strings, booleans and nested lists
+    are refused (the type check is one C-level pass over the list)."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("re/im arrays take numbers only")
+    return np.asarray(values, dtype=float)
+
+
 def _complex_from_json(obj) -> np.ndarray:
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = _real_array(obj["re"])
+        im = _real_array(obj["im"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad complex array: {exc}") from exc
     if re.shape != im.shape:
         raise InputError("re/im arrays differ in length")

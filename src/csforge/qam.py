@@ -41,7 +41,6 @@ __all__ = [
     "EnumerationLimitError",
     "Geometry",
     "MAX_COUNT_VARS",
-    "MAX_DEDUP_BYTES",
     "RULES",
     "RuleCount",
     "RuleEntry",
@@ -74,18 +73,9 @@ RULE_MODULUS = 4  # all five rules live on quaternary phases
 _SCALE = 4.0 / (2.0 * math.pi)
 
 DEFAULT_ENUM_GUARD = 10_000_000
-# Most bytes the dedup store may take, counted for every combination of the
-# walk as if all were distinct: a row of 16 bytes per complex element, and
-# _KEY_OVERHEAD_BYTES for its hash and its share of the slot table
-MAX_DEDUP_BYTES = 1 << 30
-# tracemalloc (CPython 3.11, walks of 98,304 to 221,184 rows of 8 to 16
-# elements) shows 23 to 25 bytes per walk row beyond the row itself: 8 for
-# the hash, 8 to 16 for the table and about 1.2 MB of block scratch
-_KEY_OVERHEAD_BYTES = 32
 
 # About how many bytes of first outputs one encode of the walk writes (one
-# order at least); the dedup keys runs of at least half that at once.  At
-# 128 KiB the scratch of both stays under about 1 MB
+# order at least); at 128 KiB its scratch stays under about 1 MB
 WALK_BLOCK_BYTES = 1 << 17
 
 # Largest m the closed-form counts take: m! * 4^(m+1) has 3,171 digits at
@@ -489,6 +479,14 @@ def enumerate_rule(
     Raises EnumerationLimitError before any encode when the raw combination
     count exceeds the guard (DEFAULT_ENUM_GUARD when None).
     """
+    yield from _walk(rule, s, m, pis, ells, seed, guard, distinct=False)
+
+
+def _walk(rule, s, m, pis, ells, seed, guard, distinct):
+    """``enumerate_rule``'s blocks; when ``distinct``, only the rows of the
+    (choice, ell, pi) groups that ``_first_groups`` keeps.  A (choice, ell)
+    that keeps no order is not encoded, and a batch encodes only the orders
+    that one of its groups keeps."""
     entry = rule_entry(rule)
     pis = np.array([permutation(p, m, 1, "pi") for p in pis] if pis is not None else list(
         itertools.permutations(range(1, m + 1))), dtype=np.intp).reshape(-1, m)
@@ -501,139 +499,109 @@ def enumerate_rule(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
     K, z = _phase_grid(m)
-    order_bytes = 16 * ((1 if seed is None else len(seed)) << m) * len(K)
+    length = (1 if seed is None else len(seed)) << m
+    order_bytes = 16 * length * len(K)
     per_block = max(1, WALK_BLOCK_BYTES // order_bytes)
-    # whole (choice, ell) groups per encode while all their orders fit a block
-    per_encode = max(1, WALK_BLOCK_BYTES // (order_bytes * max(1, len(pis))))
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
-    groups = ((step["ell"] if entry.phase_last else None,
+    groups = [(step["ell"] if entry.phase_last else None,
                entry.build(**choice, **step, s=s, m=m, pi=None, k=None, z=0, seed=seed))
-              for choice in entry.choices(s) for step in steps)
-    for ell, run in itertools.groupby(groups, key=lambda group: group[0]):
+              for choice in entry.choices(s) for step in steps]
+    kept = np.ones((len(groups), len(pis)), dtype=bool)
+    if distinct and kept.size:
+        kept = _first_groups([params for _, params in groups], pis, length)
+    # whole groups per encode while all their orders fit a block
+    per_encode = max(1, WALK_BLOCK_BYTES // (order_bytes * max(1, len(pis))))
+    for ell, run in itertools.groupby(zip(groups, kept), key=lambda cell: cell[0][0]):
         rows = K
         if ell is not None:  # orange varies its step phase k[ell-1] last
             rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
             rows.flags.writeable = False
-        run = [params for _, params in run]
+        run = [(params, mask) for (_, params), mask in run if mask.any()]
         for first in range(0, len(run), per_encode):
-            batch = run[first : first + per_encode]
-            for lo in range(0, len(pis), per_block):
-                orders = pis[lo : lo + per_block]
-                values = encode_family(batch, rows, z, orders)
+            batch, cells = zip(*run[first : first + per_encode])
+            cells = np.array(cells)
+            # the orders some group of the batch keeps; the cells of the
+            # other groups at those orders are encoded and dropped
+            used = cells.any(axis=0)
+            orders = pis if used.all() else pis[used]
+            cells = cells[:, used]
+            for lo in range(0, len(orders), per_block):
+                part = slice(lo, lo + per_block)
+                values = encode_family(batch, rows, z, orders[part])
                 values.flags.writeable = False
-                for params, block in zip(batch, np.split(values, len(batch))):
-                    yield params, orders, rows, z, block
+                for params, mine, block in zip(batch, cells[:, part], np.split(values, len(batch))):
+                    if mine.all():
+                        yield params, orders[part], rows, z, block
+                    elif mine.any():
+                        block = block.reshape(len(mine), -1, length)[mine].reshape(-1, length)
+                        yield params, orders[part][mine], rows, z, block
                 del values, block  # not held while the next block is encoded
 
 
-def _row_hashes(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a (R, W) uint64 array: the sum, modulo
-    2^64, of x ^ (x >> 32) of each word x (which folds a float's sign,
-    exponent and leading mantissa bits into the low half) times an odd
-    constant of its column, the splitmix64 output of the column number."""
-    c = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    c = (c ^ (c >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    c = (c ^ (c >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    folded = words >> np.uint64(32)
-    folded ^= words
-    return folded @ (c ^ (c >> np.uint64(31)) | np.uint64(1))
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-class _DistinctRows:
-    """The distinct key rows seen so far, found by hash and confirmed word by word.
+def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
+    """The key of the group of each key row, in place.
 
-    ``rows[:count]`` and ``hashes[:count]`` hold them, in room for
-    ``capacity`` rows (pages never written are never touched).  ``slots`` is
-    an open-addressing table of 2^bits >= 2 * capacity positions in
-    ``rows``, -1 where free.  A row's home slot is the top bits of its hash
-    (lattice values have zero low mantissa halves, so the low bits hardly
-    vary), and it probes the slots after it in turn.
+    The members of a (choice, ell, pi) group are r * j^L(x), blockwise:
+    r is any one of them, and L(x) = z + sum k_n b_n(x) runs over every
+    Z4-affine function of the block index bits, whatever the order.  So
+    two groups hold the same words or none in common.  Each row is turned
+    blockwise by the quarter turns j^(t0 + sum t_n x_n) that put the first
+    nonzero element of block 0 and of each block 2^n in the quadrant
+    re > 0, im >= 0.  That is one member of the group, the same whichever
+    member the row is (quarter turns are exact on rounded values), so equal
+    keys mean equal groups.  ValueError when a block is zero at key
+    precision: its group would hold fewer than 4^(m+1) distinct words.
     """
+    blocks = keys.reshape(len(keys), 1 << m, -1)
+    nonzero = blocks != 0
+    if not nonzero.any(axis=2).all():
+        raise ValueError("the distinct walk needs a nonzero element in every block; "
+                         "a seed sequence is zero at 12 decimals")
+    lead = np.take_along_axis(blocks, nonzero.argmax(axis=2)[..., None], axis=2)[..., 0]
+    lead = lead[:, [0, *(1 << np.arange(m))]]  # blocks 0 and 2^n
+    re, im = lead.real, lead.imag
+    # quarter turns that take each lead into the quadrant re > 0, im >= 0
+    turns = -(((re <= 0) & (im > 0)) + 2 * ((re < 0) & (im <= 0)) + 3 * ((re >= 0) & (im < 0)))
+    turns[:, 1:] -= turns[:, :1]
+    x_bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    blocks *= _QUARTER_TURNS[(turns[:, :1] + turns[:, 1:] @ x_bits.T) % 4][..., None]
+    blocks += 0.0
+    return keys
 
-    def __init__(self, capacity: int, width: int):
-        self.rows = np.empty((capacity, width), dtype=np.uint64)
-        self.hashes = np.empty(capacity, dtype=np.uint64)
-        self.count = 0
-        bits = (2 * capacity - 1).bit_length()  # 1 at capacity 0
-        # MAX_DEDUP_BYTES keeps capacity far below 2^31
-        self.slots = np.full(1 << bits, -1, dtype=np.int32)
-        self.shift = np.uint64(64 - bits)
 
-    def add(self, keys: np.ndarray) -> np.ndarray:
-        """Store the rows of ``keys`` (R, W) that equal no row seen before,
-        the first of equal rows only; return their indices, ascending."""
-        h = _row_hashes(keys)
-        slot = (h >> self.shift).astype(np.intp)
-        # rows by home slot, equal homes in row order: every pending row
-        # steps once a round, so the rows at one slot share a home and stay
-        # side by side, and the first of equal rows comes first
-        pending = np.argsort(slot, kind="stable")
-        slot = slot[pending]
-        new = np.zeros(len(keys), dtype=bool)
-        while len(pending):
-            # the first pending row at a free slot takes it and is stored
-            first = np.ones(len(slot), dtype=bool)
-            first[1:] = slot[1:] != slot[:-1]
-            won = np.flatnonzero(first & (self.slots[slot] < 0))
-            mine, end = pending[won], self.count + len(won)
-            new[mine] = True
-            self.rows[self.count : end], self.hashes[self.count : end] = keys[mine], h[mine]
-            self.slots[slot[won]] = np.arange(self.count, end)
-            self.count = end
-            # the others stop at a slot that holds the same hash and words,
-            # or step to the next slot
-            at = self.slots[slot]
-            done = self.hashes[at] == h[pending]
-            done[won] = False
-            done[done] = (self.rows[at[done]] == keys[pending[done]]).all(axis=1)
-            done[won] = True
-            keep = ~done
-            pending, slot = pending[keep], (slot[keep] + 1) % len(self.slots)
-        return np.flatnonzero(new)
+def _first_groups(groups: list[EncoderParams], pis: np.ndarray, length: int) -> np.ndarray:
+    """(G, P) flags: whether the ``_canonical`` key of the (group, order)
+    cell (g, p) comes before any equal one in walk order.  The keys are
+    taken from ``encode_family`` calls over about WALK_BLOCK_BYTES of cells."""
+    m = groups[0].m
+    seen: set[bytes] = set()
+    kept = []
+    per_call = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
+    for first in range(0, len(groups), per_call):
+        # each cell's member with k = 0 and z = 0
+        rows = encode_family(groups[first : first + per_call], np.zeros((1, m)), np.zeros(1), pis)
+        for key in map(np.ndarray.tobytes, _canonical(_key_values(rows), m)):
+            kept.append(key not in seen)
+            seen.add(key)
+    return np.reshape(kept, (len(groups), len(pis)))
 
 
 def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
     """First outputs of the walk, each distinct sequence once, in walk order.
 
-    Yields (n, L) arrays of the rows first seen in successive runs of walk
-    blocks.  Rows are keyed by the bytes ``sequence_key`` gives them: each
-    key row is hashed to 64 bits, and every row whose hash matches an
-    earlier one is compared word for word, so the count is exact.  Raises
-    EnumerationLimitError before any encode when the dedup store could pass
-    MAX_DEDUP_BYTES, that is when the walk's combinations, all taken as
-    distinct, would.
+    Yields (n, L) arrays of rows, those of ``enumerate_rule``; a row is
+    distinct when its ``sequence_key`` bytes differ from every earlier
+    row's.  Each (choice, ell, pi) group of the walk is 4^(m+1) distinct
+    words, equal to or disjoint from every other group (``_canonical``), so
+    the distinct rows are the rows of the groups whose key no earlier group
+    has: only those are encoded, and no row is stored.  ValueError when a
+    seed sequence is zero at 12 decimals.
     """
-    pis = [tuple(p) for p in pis] if pis is not None else None
-    ells = list(ells) if ells is not None else None
-    size = enumeration_size(rule, s, m, None if pis is None else len(pis),
-                            None if ells is None else len(ells))
-    length = (1 if seed is None else len(seed)) << m
-    need = size * (16 * length + _KEY_OVERHEAD_BYTES)
-    if need > MAX_DEDUP_BYTES:
-        raise EnumerationLimitError(
-            f"{rule} dedup at s={s}, m={m} may hold {size} keys of length {length}, "
-            f"{need} bytes; the limit is {MAX_DEDUP_BYTES}"
-        )
-    store = _DistinctRows(size, 2 * length)
-    for values in _runs(enumerate_rule(rule, s, m, pis, ells, seed, guard)):
-        new = store.add(_key_values(values).view(np.uint64))
-        if len(new):
-            yield values[new]
-        del values  # not held while the walk encodes the next run
-
-
-def _runs(blocks) -> Iterator[np.ndarray]:
-    """The first outputs of successive walk blocks, joined into runs of at
-    least half of WALK_BLOCK_BYTES (the last may be shorter); a block that
-    large is a run by itself, not a copy."""
-    run = []
-    for *_, values in blocks:
-        run.append(values)
-        if 2 * sum(v.nbytes for v in run) >= WALK_BLOCK_BYTES:
-            yield run[0] if len(run) == 1 else np.concatenate(run)
-            run = []
-    if run:
-        yield np.concatenate(run)
+    for *_, values in _walk(rule, s, m, pis, ells, seed, guard, distinct=True):
+        yield values
 
 
 def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:

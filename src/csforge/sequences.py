@@ -6,13 +6,15 @@ structural: support is decided by exact comparison, never by rounding.
 
 The checks below are the one definition of an admissible knob: a finite
 real, an integer (integral floats such as 2.0 included), a list of m finite
-reals, a permutation, and m non-negative pads.  ``None`` in place of a list
-means its default: zeros, or the identity order.
+reals, a permutation, and m non-negative pads.  Every entry must be a real
+number: strings and booleans are refused, not converted.  ``None`` in place
+of a list means its default: zeros, or the identity order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -88,9 +90,16 @@ def as_array(seq) -> np.ndarray:
     return arr
 
 
+def _number(value, name: str):
+    """``value`` if it is a real number and not a boolean; ValueError otherwise."""
+    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} takes numbers only, got {value!r}")
+    return value
+
+
 def finite(value, name: str) -> float:
     """``value`` as a float; nan and the infinities are refused."""
-    value = float(value)
+    value = float(_number(value, name))
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -99,7 +108,7 @@ def finite(value, name: str) -> float:
 def integral(value, name: str) -> int:
     """``value`` as an int; integral floats such as 2.0 pass, 1.7 is refused."""
     try:
-        return operator.index(value)
+        return operator.index(_number(value, name))
     except TypeError:
         number = float(value)
     if not number.is_integer():

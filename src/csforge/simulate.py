@@ -199,6 +199,9 @@ def min_distance_sim(
     noise = np.empty((2, _CHUNK, used.shape[1]))
     feats = np.empty((_CHUNK, real_words.shape[1] + 1))
     feats[:, -1] = 1.0
+    # with a noiseless point: the detector's decision on each word received
+    # exactly, filled as the word is first sent; -1 where not yet decided
+    noiseless = np.full(len(used), -1, dtype=np.intp) if 0.0 in sigmas else None
 
     rng = np.random.default_rng(rng_seed)
     errors: list[int] = []
@@ -222,12 +225,15 @@ def min_distance_sim(
                 decided = detector.decide(rows)
             else:
                 # a noiseless trial receives its codeword exactly: score each
-                # sent word once, and take the detector's own decision, so that
-                # a repeated word still decides its first copy
-                sent, where = np.unique(idx, return_inverse=True)
-                rows = feats[: len(sent)]
-                rows[:, :-1] = real_words[sent]
-                decided = detector.decide(rows)[where]
+                # word once per call, and take the detector's own decision, so
+                # that a repeated word still decides its first copy
+                sent = np.unique(idx)
+                sent = sent[noiseless[sent] < 0]
+                if len(sent):
+                    rows = feats[: len(sent)]
+                    rows[:, :-1] = real_words[sent]
+                    noiseless[sent] = detector.decide(rows)
+                decided = noiseless[idx]
             bit_errs += _bit_errors(idx, decided)
             remaining -= batch
         errors.append(bit_errs)

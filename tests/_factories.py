@@ -150,3 +150,13 @@ def reference_distinct_keys(rule, s, m, seed=None, pis=None):
     for *_, values in reference_walk(rule, s, m, seed, pis):
         seen.setdefault(qam.sequence_key(values), None)
     return list(seen)
+
+
+def reference_distinct_rows(blocks):
+    """The rows of walk blocks (as ``qam.enumerate_rule`` yields them) whose
+    ``qam.sequence_key`` no earlier row has, in walk order, as one array."""
+    seen = {}
+    for *_, values in blocks:
+        for row in values:
+            seen.setdefault(qam.sequence_key(row), row)
+    return np.array(list(seen.values()))

@@ -159,6 +159,25 @@ def test_malformed_params_file_exits_2(tmp_path, capsys, change):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [
+    {**multilevel_doc(), "pi": "213"},
+    {**multilevel_doc(), "pi": ["2", "1", "3"]},
+    {**multilevel_doc(), "k": "130"},
+    {**multilevel_doc(), "e": [E1, False, 0.0]},
+    {**multilevel_doc(), "d": [True, False, False]},
+    {**multilevel_doc(), "H": "4"},
+    {**multilevel_doc(), "k_prime": True},
+    {**multilevel_doc(), "seed": {"a": {"re": ["1"], "im": [0]}, "b": {"re": [1], "im": [0]}}},
+    {**multilevel_doc(), "seed": {"a": {"re": [True], "im": [0]}, "b": {"re": [1], "im": [0]}}},
+    {"m": True, "H": 2},
+])
+def test_params_file_takes_only_json_numbers(tmp_path, capsys, doc):
+    code, out, err = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "numbers" in err
+
+
 def test_params_file_takes_integral_floats(tmp_path, capsys):
     doc = {**multilevel_doc(), "d": [1, 0, 0]}
     ints = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
@@ -342,6 +361,22 @@ def test_verify_rejects_non_finite_values(tmp_path, capsys):
             assert err.count("\n") == 1 and "non-finite" in err
 
 
+@pytest.mark.parametrize("re", [["1", "1"], [True, 1], [1, False], [[1], [1]], "11", [1, None]])
+def test_records_take_only_json_numbers(tmp_path, capsys, re):
+    # ["1", "1"] was read as [1, 1], and verify exited 1 on a failed check
+    records = [{"values": {"re": re, "im": [0, 0]}}, {"values": {"re": [1, 1], "im": [0, 0]}}]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    codebook = tmp_path / "codebook.json"
+    codebook.write_text(json.dumps({"sequences": [r["values"] for r in records]}))
+    for argv in (["verify", str(path)], ["papr", str(path)],
+                 ["simulate", "--codebook", str(codebook), "--ebn0", "inf", "--trials", "4"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "numbers" in err
+
+
 def test_verify_reports_gap_layout(tmp_path, capsys):
     doc = multilevel_doc()
     doc["d"] = [0, 60, 0]
@@ -413,13 +448,14 @@ def test_enumerate_dedup_refuses_seed_lengths_above_four(capsys):
     assert err.count("\n") == 1 and "--N" in err
 
 
-def test_enumerate_dedup_memory_guard_exit(capsys):
-    # 1,572,864 sequences of length 64: under the count guard, over the key-set limit
-    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "8", "--m", "4",
-                             "--N", "4", "--dedup")
-    assert code == 3
-    assert out == ""
-    assert err.count("\n") == 1 and "bytes" in err
+def test_enumerate_dedup_yellow_s2_m5(capsys):
+    # 4,915,200 walk rows of length 32; no row is stored, so no memory guard refuses it
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "yellow", "--s", "2", "--m", "5",
+                             "--dedup")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["dedup"] == report["count"] == 2_949_120
+    assert report["dedup_matches_formula"] is True
 
 
 @pytest.mark.parametrize("m", ["100000", "1e7", str(MAX_COUNT_VARS + 1)])

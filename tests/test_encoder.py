@@ -277,6 +277,22 @@ def test_params_take_integral_floats():
     assert rp == RecursionParams(H=4, psi=(1, 0), shifts=(2, 0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", True), ("H", "4"), ("pi", "21"), ("pi", ("2", "1")), ("d", (True, False)),
+    ("e", ("0.5", 0.0)), ("k", "13"), ("e_prime", "0.5"), ("k_prime", False),
+    ("k_dprime", np.True_),
+])
+def test_params_take_only_numbers(field, value):
+    # strings and booleans were converted before: "21" read as the order
+    # (2, 1), "13" as the steps (1, 3) and True as 1
+    with pytest.raises(ValueError, match=f"{field} takes numbers only"):
+        replace(EncoderParams(m=2, H=4), **{field: value})
+    # numpy scalars are numbers
+    p = replace(EncoderParams(m=2, H=4), m=np.int64(2), pi=(np.int32(2), np.float64(1.0)),
+                k=(np.float32(0.5), 1), e_prime=np.float64(0.25))
+    assert (p.m, p.pi, p.k, p.e_prime) == (2, (2, 1), (0.5, 1.0), 0.25)
+
+
 @pytest.mark.parametrize("e_prime", [1000.0, 300.0, -1e300])
 def test_unrepresentable_power_is_rejected(e_prime):
     with pytest.raises(ValueError, match="power"):

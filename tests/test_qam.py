@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _factories import reference_distinct_keys, reference_walk
+from _factories import reference_distinct_keys, reference_distinct_rows, reference_walk
 from csforge import (
     RecursionParams,
+    SeedPair,
     encode_family,
     encode_pair,
     is_gcp,
@@ -310,20 +312,6 @@ def test_walk_checks_each_order():
             list(enumerate_rule("yellow", 2, 2, pis=pis))
 
 
-@pytest.mark.parametrize("hashes", [
-    lambda words: np.zeros(len(words), dtype=np.uint64),  # every row collides
-    lambda words: words[:, 0] & np.uint64(3),  # rows collide in four classes
-    # hashes differ but share their top bits: every row starts at slot 0
-    lambda words: words[:, 0] & np.uint64(0xFFFF),
-])
-def test_dedup_is_exact_when_hashes_collide(monkeypatch, hashes):
-    expected = reference_distinct_keys("yellow", 2, 2, known_seed(2))
-    monkeypatch.setattr(qam, "_row_hashes", hashes)
-    keys = [sequence_key(v) for v in distinct_values("yellow", 2, 2, seed=known_seed(2))]
-    assert keys == expected
-    assert distinct_sequences("orange", 2, 2) == count_sequences("orange", 2, 2).count
-
-
 def test_choice_count_is_the_unit_count_at_one_step():
     # enumeration_size counts the choices without listing them
     for rule in qam.RULES:
@@ -407,46 +395,6 @@ def test_two_halves_matches_recursion_oracle(monkeypatch):
                     assert _phases_agree(got.k_dprime, want.k_dprime)
 
 
-def test_dedup_memory_guard_raises_before_any_encode(monkeypatch):
-    encodes = []
-
-    def spy(stack, K, z, pis):
-        params = stack[0]
-        encodes.append(params)
-        return np.zeros((len(stack) * len(pis) * len(K), len(params.seed) << params.m), dtype=complex)
-
-    monkeypatch.setattr(qam, "encode_family", spy)
-    # green at s=8, m=4: 1,572,864 keys take at most 453 MB at length 16
-    # and 1.66 GB at length 64, both under the count guard
-    size = qam.enumeration_size("green", 8, 4)
-    assert size <= qam.DEFAULT_ENUM_GUARD
-    assert size * (16 * 16 + qam._KEY_OVERHEAD_BYTES) <= qam.MAX_DEDUP_BYTES
-    assert size * (16 * 64 + qam._KEY_OVERHEAD_BYTES) > qam.MAX_DEDUP_BYTES
-    with pytest.raises(EnumerationLimitError, match="bytes"):
-        next(distinct_values("green", 8, 4, seed=known_seed(4)))
-    assert encodes == []
-    # the streaming walk holds one block at a time and is not refused
-    next(enumerate_rule("green", 8, 4, seed=known_seed(4)))
-    next(distinct_values("green", 8, 4))
-    assert len(encodes) == 2
-    # the guard counts only the orders and steps walked
-    next(distinct_values("green", 8, 4, pis=[(1, 2, 3, 4)], seed=known_seed(4)))
-    assert len(encodes) == 3
-
-
-def test_dedup_guard_covers_the_walk_peak():
-    # the guard charges each walk row 16 bytes per element plus
-    # _KEY_OVERHEAD_BYTES; block scratch gets a fixed 1 MiB
-    size = qam.enumeration_size("yellow", 2, 4)
-    tracemalloc.start()
-    try:
-        assert distinct_sequences("yellow", 2, 4) == 122_880
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= size * (16 * 16 + qam._KEY_OVERHEAD_BYTES) + (1 << 20)
-
-
 def test_distinct_rows_do_not_hold_their_block():
     rows = list(distinct_values("green", 1, 2))
     assert all(row.base is None for row in rows)
@@ -461,8 +409,163 @@ _EXHAUSTIVE = (
 )
 
 
+# sha256 of the key rows (``sequence_key`` bytes, in order) of each walk's
+# distinct rows, as the hash-and-compare dedup store that first ran these
+# walks yielded them
+_PINNED_KEYS = {
+    ("green", 2, 4, 1): "41fe925bfdd0c8d6b0d93ca0d07413dc48cb5d728cf857359f8ba4a0726b28ca",
+    ("yellow", 2, 4, 1): "9d52afff8d3ed6a0ddb329a72851b798822eafa82c869ce78b81b91524e405c2",
+    ("blue", 2, 4, 1): "2eb0dadf2ab32157f826515583a74860d6f69e18bd81685a139c026ae6701de3",
+    ("orange", 2, 4, 1): "cdcab291ee5b9d5f29593d6d97bc81614fb05cf16b4847c36549c789e5024304",
+    # the 14 walks of 0.5 to 3 million rows that a 32-byte-per-row store admitted
+    ("green", 1, 5, 4): "886d8ec829e1ee43233523c36e9b80b2a0cb8340b13f1b3424bc2013b0dee435",
+    ("green", 2, 5, 1): "7810faafb1350bc4a3c2a449fd4531d151dbbb6b20ceb5e000a8694ccc04b66f",
+    ("green", 7, 4, 3): "1b67a0d3a2bb27f0007c76ebd3361e506360571a82117d8d2286ddb2f3a0fd92",
+    ("yellow", 4, 4, 3): "ca9c71ef238984f90f97614ac055af47cfc731c91721d3c5102e31f45f033225",
+    ("yellow", 5, 4, 2): "27a1f5526c40dffa12a724db5dcfc15cf17de1f9b6db654eb11cb6a9f6ab6113",
+    ("yellow", 6, 4, 1): "1cc94102ed8c8bdfc457a813d0ed67fdb7ca2ef0d3b1c8b33d19245779ae5b35",
+    ("blue", 3, 4, 1): "9787dafbf57d003191b97348a4c895e9824d94b85cd5192c50aa2d3656abfff3",
+    ("blue", 6, 3, 4): "d0c961a7336cf851f9834d1fd4397aad6f6a1798986b1786eef0e27bb3c749bf",
+    ("blue", 7, 3, 2): "a9c3d7037d89498e1482c402f3d8bcc58a48704b841351ea346a0dad53c82ee0",
+    ("blue", 8, 3, 1): "b6d0327cd2abb6cde0a524d97c1b14341a267b062857f21c7c6a8f633a92b39e",
+    ("cyan", 5, 3, 4): "198a36bb006c2c98a83efbeba4225bc2453ae19d39c58f2d9419b73bcd9233a7",
+    ("orange", 4, 4, 3): "acf9d2d93d00a46dca97f9daf3e37deb2e4d7b5d5b7c4983b651a898f383b302",
+    ("orange", 5, 4, 2): "8560d4d5e887f59e949ba7c94e15fc17980c034ed3e132b521fdf02e7f8c9e97",
+    ("orange", 6, 4, 1): "2f45b63b85e07ea86834d78bcae7cc0e208bc782c7e46c1df5149d3030d9d934",
+}
+
+
+def _count_and_digest(rule, s, m, n_seed):
+    digest, count = hashlib.sha256(), 0
+    for block in qam.distinct_blocks(rule, s, m, seed=known_seed(n_seed)):
+        digest.update(qam._key_values(block))
+        count += len(block)
+    return count, digest.hexdigest()
+
+
 @pytest.mark.parametrize("rule, s, m, n_seed", _EXHAUSTIVE)
 def test_dedup_matches_formula_exhaustive(rule, s, m, n_seed):
     n_class = "N=1" if n_seed == 1 else "N>1"
-    distinct = distinct_sequences(rule, s, m, seed=known_seed(n_seed))
+    distinct, digest = _count_and_digest(rule, s, m, n_seed)
     assert distinct == count_sequences(rule, s, m, n_class).count
+    assert digest == _PINNED_KEYS.get((rule, s, m, n_seed), digest)
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed", list(_PINNED_KEYS)[4:])
+def test_large_walks_keep_their_distinct_rows(rule, s, m, n_seed):
+    distinct, digest = _count_and_digest(rule, s, m, n_seed)
+    assert distinct == count_sequences(rule, s, m, "N=1" if n_seed == 1 else "N>1").count
+    assert digest == _PINNED_KEYS[rule, s, m, n_seed]
+
+
+_ORACLE_WALKS = (
+    [(rule, s, m, n, None, None) for rule, s, m, n in _EXHAUSTIVE
+     if qam.enumeration_size(rule, s, m) <= 40_000]
+    # m = 1, where the closed forms undercount
+    + [(rule, s, 1, n, None, None) for rule in qam.RULES for s in (2, 3) for n in (1, 3)]
+    # restricted orders and steps
+    + [
+        ("yellow", 2, 3, 1, [(3, 1, 2), (2, 1, 3), (1, 2, 3)], None),
+        ("yellow", 2, 3, 2, None, [3, 1]),
+        ("orange", 2, 3, 1, None, [2]),
+        ("orange", 3, 3, 3, [(2, 3, 1), (1, 3, 2)], [3, 2]),
+        ("blue", 2, 3, 1, [(1, 2, 3), (3, 2, 1), (2, 1, 3)], [1, 3]),
+        ("cyan", 3, 2, 4, [(2, 1)], [2]),
+        ("green", 2, 3, 3, [(3, 2, 1), (1, 2, 3), (2, 3, 1)], None),
+    ]
+)
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed, pis, ells", _ORACLE_WALKS)
+def test_distinct_rows_are_the_first_rows_of_the_walk(rule, s, m, n_seed, pis, ells):
+    seed = known_seed(n_seed)
+    expected = reference_distinct_rows(enumerate_rule(rule, s, m, pis, ells, seed))
+    rows = list(qam.distinct_blocks(rule, s, m, pis, ells, seed))
+    rows = np.concatenate(rows) if rows else expected
+    # bit-identical rows in the same order
+    assert len(rows) == len(expected) and rows.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_key_is_shared_by_the_whole_group(data):
+    rule = data.draw(st.sampled_from(qam.RULES), label="rule")
+    entry = qam.rule_entry(rule)
+    s = data.draw(st.integers(3 if rule == "cyan" else 2, 4), label="s")
+    choice = data.draw(st.sampled_from(entry.choices(s)), label="choice")
+    m = data.draw(st.integers(1, 4), label="m")
+    step = {"ell": data.draw(st.integers(1, m), label="ell")} if entry.has_ell else {}
+    pi = tuple(data.draw(st.permutations(range(1, m + 1)), label="pi"))
+    seed = known_seed(data.draw(st.integers(1, 4), label="N"))
+    params = entry.build(k=None, z=0, pi=pi, s=s, m=m, seed=seed, **choice, **step)
+    K, z = qam._phase_grid(m)
+    keys = qam._key_values(encode_family(params, K, z))
+    # the 4^(m+1) members of the group are pairwise distinct
+    assert len({row.tobytes() for row in keys}) == 4 ** (m + 1)
+    group = qam._canonical(keys.copy(), m)
+    assert np.array_equal(group, np.broadcast_to(group[0], group.shape))
+    # the key is a member of the group
+    assert any(np.array_equal(group[0], row) for row in keys)
+
+
+def _cell(params, pi):
+    return (params.e, params.e_prime, params.k, params.k_prime, params.k_dprime, tuple(pi))
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed", [
+    ("green", 2, 3, 1), ("yellow", 2, 3, 1), ("blue", 2, 2, 1), ("cyan", 3, 2, 1),
+    ("orange", 2, 3, 1), ("blue", 2, 2, 3), ("orange", 2, 2, 4),
+])
+def test_distinct_walk_encodes_no_earlier_group(monkeypatch, rule, s, m, n_seed):
+    seed = known_seed(n_seed)
+    # the oracle: the (choice, ell, pi) cells none of whose rows an earlier cell has
+    seen, first = set(), set()
+    for params, orders, K, _, values in enumerate_rule(rule, s, m, seed=seed):
+        for pi, rows in zip(orders, np.split(values, len(orders))):
+            keys = {sequence_key(row) for row in rows}
+            if not keys & seen:
+                first.add(_cell(params, pi))
+            seen |= keys
+    stacks = []
+
+    def spy(stack, K, z, pis=None):
+        if len(K) > 1:  # a walk encode, not the keys' k = 0, z = 0 rows
+            stacks.append([[_cell(params, pi) for pi in pis] for params in stack])
+        return encode_family(stack, K, z, pis)
+
+    monkeypatch.setattr(qam, "encode_family", spy)
+    assert distinct_sequences(rule, s, m, seed=seed) == len(first) * 4 ** (m + 1)
+    encoded = [cell for stack in stacks for cells in stack for cell in cells]
+    assert first <= set(encoded) and len(set(encoded)) == len(encoded)
+    for stack in stacks:
+        # every group of a stack keeps one of its orders, and every order is
+        # kept by one of its groups; a stack of one group encodes no other cell
+        assert all(set(cells) & first for cells in stack)
+        assert all(first & set(order) for order in zip(*stack))
+        assert len(stack) > 1 or set(stack[0]) <= first
+
+
+def test_distinct_walk_refuses_a_zero_seed_sequence():
+    seed = SeedPair([0], [1])
+    # each group of this walk holds 8 distinct words, not 4^(m+1) = 64
+    assert sum(len(values) for *_, values in enumerate_rule("green", 1, 2, seed=seed)) == 128
+    with pytest.raises(ValueError, match="zero") as info:
+        distinct_sequences("green", 1, 2, seed=seed)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="zero"):
+        next(distinct_values("yellow", 2, 2, seed=SeedPair([1, 0], [0, 0])))
+
+
+def test_distinct_walk_peak_does_not_grow_with_the_walk():
+    # one fixed bound for a walk of 9,216 rows and one of 196,608 (50 MB of
+    # rows, 31 MB of them distinct): no row store, one block at a time
+    bound = 4 << 20
+    for m, distinct in ((3, 6144), (4, 122_880)):
+        tracemalloc.start()
+        try:
+            assert distinct_sequences("yellow", 2, m) == distinct
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+    assert 122_880 * 16 * 16 > 7 * bound

@@ -306,3 +306,22 @@ def test_unresolved_near_duplicate_decides_as_a_scored_trial():
     for seed in (1, 2):
         report = min_distance_sim(words, ebn0, trials=PINNED_TRIALS, rng_seed=seed)
         assert report.bit_errors == scored_bit_errors(words, ebn0, PINNED_TRIALS, seed)
+
+
+def test_noiseless_points_decide_each_word_once_per_call(monkeypatch):
+    # three noiseless points of three chunks each, around a noisy one: the
+    # noiseless trials decide at most the 64 words, once each, in the call
+    words = near_duplicate_codebook(1.0)
+    decided = {"noiseless": 0, "noisy": 0}
+    decide = simulate._TiledDetector.decide
+
+    def spy(self, feats):
+        decided["noisy" if len(feats) == 4096 else "noiseless"] += len(feats)
+        return decide(self, feats)
+
+    monkeypatch.setattr(simulate._TiledDetector, "decide", spy)
+    ebn0 = [math.inf, 3.0, math.inf, math.inf]
+    report = min_distance_sim(words, ebn0, trials=3 * 4096, rng_seed=3)
+    assert decided == {"noiseless": 64, "noisy": 3 * 4096}
+    monkeypatch.setattr(simulate._TiledDetector, "decide", decide)
+    assert report.bit_errors == scored_bit_errors(words, ebn0, 3 * 4096, 3)
