@@ -225,14 +225,15 @@ def min_distance_sim(
                 decided = detector.decide(rows)
             else:
                 # a noiseless trial receives its codeword exactly: score each
-                # word once per call, and take the detector's own decision, so
-                # that a repeated word still decides its first copy
-                sent = np.unique(idx)
-                sent = sent[noiseless[sent] < 0]
-                if len(sent):
-                    rows = feats[: len(sent)]
-                    rows[:, :-1] = real_words[sent]
-                    noiseless[sent] = detector.decide(rows)
+                # word once per call, when a chunk first sends it, and take
+                # the detector's own decision, so that a repeated word still
+                # decides its first copy
+                sent = np.zeros(len(used), dtype=bool)
+                sent[idx] = True
+                sent = np.flatnonzero(sent & (noiseless < 0))
+                rows = feats[: len(sent)]
+                rows[:, :-1] = real_words[sent]
+                noiseless[sent] = detector.decide(rows)
                 decided = noiseless[idx]
             bit_errs += _bit_errors(idx, decided)
             remaining -= batch

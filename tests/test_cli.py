@@ -377,6 +377,16 @@ def test_records_take_only_json_numbers(tmp_path, capsys, re):
         assert err.count("\n") == 1 and "numbers" in err
 
 
+def test_records_refuse_integers_beyond_float(tmp_path, capsys):
+    # json reads 10**400 as an int that no float holds
+    path = tmp_path / "records.json"
+    path.write_text('[{"values": {"re": [1%s, 1], "im": [0, 0]}}]' % ("0" * 400))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "bad complex array" in err
+
+
 def test_verify_reports_gap_layout(tmp_path, capsys):
     doc = multilevel_doc()
     doc["d"] = [0, 60, 0]
