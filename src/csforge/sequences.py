@@ -14,7 +14,6 @@ of a list means its default: zeros, or the identity order.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 
 import numpy as np
@@ -91,8 +90,10 @@ def as_array(seq) -> np.ndarray:
 
 
 def _number(value, name: str):
-    """``value`` if it is a real number and not a boolean; ValueError otherwise."""
-    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+    """``value``, unless it is a string or a boolean, which ``float`` and
+    ``operator.index`` would convert (ValueError); other non-numbers, such
+    as None or a list, make them raise TypeError."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
         raise ValueError(f"{name} takes numbers only, got {value!r}")
     return value
 
