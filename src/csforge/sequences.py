@@ -90,9 +90,7 @@ def as_array(seq) -> np.ndarray:
 
 
 def _number(value, name: str):
-    """``value``, unless it is a string or a boolean, which ``float`` and
-    ``operator.index`` would convert (ValueError); other non-numbers, such
-    as None or a list, make them raise TypeError."""
+    """``value``, refusing the strings and booleans that float() and operator.index() take."""
     if isinstance(value, (str, bytes, bool, np.bool_)):
         raise ValueError(f"{name} takes numbers only, got {value!r}")
     return value
