@@ -32,9 +32,9 @@ import numpy as np
 # encode_pair and recursion_to_encoder are not called here; they stay bound in
 # this module because perfbench/tracing.py wraps them under these names
 from .encoder import (  # noqa: F401
-    EncoderParams, SeedPair, encode_family, encode_pair, recursion_to_encoder,
+    MAX_ENCODE_VARS, EncoderParams, SeedPair, encode_family, encode_pair, recursion_to_encoder,
 )
-from .sequences import finite_steps, permutation
+from .sequences import finite, finite_steps, permutation
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
@@ -103,8 +103,8 @@ class Geometry(NamedTuple):
 def lattice_geometry(u: int, v: int) -> Geometry:
     if u < 1 or v < 1:
         raise ValueError(f"lattice indices must be >= 1, got ({u}, {v})")
-    re = 2 * u - 1
-    im = 2 * v - 1
+    re = finite(2 * u - 1, "lattice point")
+    im = finite(2 * v - 1, "lattice point")
     distance = math.hypot(re, im)
     theta = math.atan2(im, re)
     phi = math.pi / 4 - theta
@@ -147,15 +147,32 @@ def on_lattice(values, s: int, tol: float = QAM_POINT_TOL) -> bool:
 # -- rule parameter builders -------------------------------------------------
 
 
-def _check_range(s, name, value):
-    if not 1 <= value <= s:
-        raise ValueError(f"{name}={value} out of range 1..{s}")
+def _admit(rule, s, m, indices, ell=None, z=0, **binary) -> None:
+    """Refuse what the table record of ``rule`` does not admit: indices
+    outside 1..s or failing the record's predicate, a binary knob outside
+    its values (only booleans for a boolean knob, only numbers for a sign),
+    ell outside 1..m or m above MAX_ENCODE_VARS, and a non-finite z."""
+    entry = _RULE_TABLE[rule]
+    for name, value in zip(entry.indices, indices):
+        if not 1 <= value <= s:
+            raise ValueError(f"{name}={value} out of range 1..{s}")
+    if entry.admits is not None and not entry.admits(*indices):
+        raise ValueError(entry.refusal)
+    for name, values in entry.binary:
+        value = binary[name]
+        if value not in values or isinstance(value, _BOOLS) != isinstance(values[0], bool):
+            raise ValueError(f"{name} must be one of {values}, got {value!r}")
+    if entry.has_ell:
+        if not 1 <= ell <= m:
+            raise ValueError(f"ell={ell} out of range 1..{m}")
+        if m > MAX_ENCODE_VARS:  # refused before the builder makes lists of m steps
+            raise ValueError(f"m must be in 1..{MAX_ENCODE_VARS}")
+    finite(z, "z")
 
 
 def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """One radius for all elements: scale by gamma, rotate onto the point."""
-    _check_range(s, "u", u)
-    _check_range(s, "v", v)
+    _admit("green", s, m, (u, v), z=z)
     g = lattice_geometry(u, v)
     const = z - _SCALE * g.phi
     return EncoderParams(
@@ -164,7 +181,7 @@ def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     )
 
 
-def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
+def _two_halves(ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
     """Scale and rotate each half at step ell; half_x is (scale, phase).
 
     ``recursion_to_encoder`` of a recursion whose only scales and rotations
@@ -172,8 +189,6 @@ def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
     e[ell-1], the rotations telescope into k[ell-1] and k[ell], and the
     rotation of half a becomes the constant phase.
     """
-    if not 1 <= ell <= m:
-        raise ValueError(f"ell={ell} out of range 1..{m}")
     (scale_a, phase_a), (scale_b, phase_b) = half_a, half_b
     e = [0.0] * m
     e[ell - 1] = scale_b - scale_a
@@ -190,55 +205,38 @@ def _two_halves(s, ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
     )
 
 
+def _diagonal(u) -> tuple[float, float]:
+    """The half (scale, phase) on the diagonal point (u, u)."""
+    return _SCALE * math.log(lattice_geometry(u, u).gamma), 0.0
+
+
+def _rotated(u, v, sign) -> tuple[float, float]:
+    """The half (scale, phase) on the off-diagonal point (u, v), turned by ``sign``."""
+    g = lattice_geometry(u, v)
+    return _SCALE * math.log(g.gamma), sign * _SCALE * g.phi
+
+
 def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """Two diagonal radii: the halves are scaled independently at step ell."""
-    _check_range(s, "u", u)
-    _check_range(s, "v", v)
-    if u == v:
-        raise ValueError("yellow rule needs two different diagonal radii (u != v)")
-    first = _SCALE * math.log(lattice_geometry(u, u).gamma)
-    second = _SCALE * math.log(lattice_geometry(v, v).gamma)
-    return _two_halves(s, ell, m, pi, k, z, seed, (first, 0.0), (second, 0.0))
+    _admit("yellow", s, m, (u, v), ell, z)
+    return _two_halves(ell, m, pi, k, z, seed, _diagonal(u), _diagonal(v))
 
 
 def blue_params(
     s, u, v, w, ell, m, pi=None, k=None, z=0, sign_a=1, rotate_b_half=True, seed=None
 ) -> EncoderParams:
     """One diagonal radius and one off-diagonal point: rotate a single half."""
-    _check_range(s, "u", u)
-    _check_range(s, "v", v)
-    _check_range(s, "w", w)
-    if v <= w:
-        raise ValueError("blue rule needs an off-diagonal pair with v > w")
-    if sign_a not in (1, -1):
-        raise ValueError("sign_a must be +1 or -1")
-    diag = (_SCALE * math.log(lattice_geometry(u, u).gamma), 0.0)
-    off = lattice_geometry(v, w)
-    rotated = (_SCALE * math.log(off.gamma), sign_a * _SCALE * off.phi)
-    if rotate_b_half:
-        return _two_halves(s, ell, m, pi, k, z, seed, diag, rotated)
-    return _two_halves(s, ell, m, pi, k, z, seed, rotated, diag)
+    _admit("blue", s, m, (u, v, w), ell, z, sign_a=sign_a, rotate_b_half=rotate_b_half)
+    halves = _diagonal(u), _rotated(v, w, sign_a)
+    return _two_halves(ell, m, pi, k, z, seed, *(halves if rotate_b_half else halves[::-1]))
 
 
 def cyan_params(
     s, u, t, v, w, ell, m, pi=None, k=None, z=0, sign_a=1, sign_b=1, seed=None
 ) -> EncoderParams:
     """Two distinct off-diagonal points, one per half, each with its rotation."""
-    for name, value in (("u", u), ("t", t), ("v", v), ("w", w)):
-        _check_range(s, name, value)
-    if u <= t or v <= w:
-        raise ValueError("cyan rule needs off-diagonal pairs with u > t and v > w")
-    if (u, t) == (v, w):
-        raise ValueError("cyan rule needs two different off-diagonal points")
-    if sign_a not in (1, -1) or sign_b not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    first = lattice_geometry(u, t)
-    second = lattice_geometry(v, w)
-    return _two_halves(
-        s, ell, m, pi, k, z, seed,
-        (_SCALE * math.log(first.gamma), sign_a * _SCALE * first.phi),
-        (_SCALE * math.log(second.gamma), sign_b * _SCALE * second.phi),
-    )
+    _admit("cyan", s, m, (u, t, v, w), ell, z, sign_a=sign_a, sign_b=sign_b)
+    return _two_halves(ell, m, pi, k, z, seed, _rotated(u, t, sign_a), _rotated(v, w, sign_b))
 
 
 def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) -> EncoderParams:
@@ -246,14 +244,7 @@ def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) ->
 
     The step phase k[ell-1] is the quadrant offset of the mirror rotation.
     """
-    _check_range(s, "u", u)
-    _check_range(s, "v", v)
-    if u <= v:
-        raise ValueError("orange rule needs u > v")
-    if sign_a not in (1, -1):
-        raise ValueError("sign_a must be +1 or -1")
-    if not 1 <= ell <= m:
-        raise ValueError(f"ell={ell} out of range 1..{m}")
+    _admit("orange", s, m, (u, v), ell, z, sign_a=sign_a)
     g = lattice_geometry(u, v)
     phases = list(finite_steps(k, m, "k"))
     phases[ell - 1] -= sign_a * _SCALE * g.mu
@@ -268,18 +259,34 @@ def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) ->
 
 
 class RuleEntry(NamedTuple):
-    """Everything the package knows about one rule, in one record."""
+    """Everything the package knows about one rule, in one record: its
+    builder refuses (``_admit``) every choice that ``choices`` does not list."""
 
     builder: str  # name of the *_params function in this module
     indices: tuple[str, ...]  # lattice indices, in ``--indices`` order
-    knobs: tuple[str, ...]  # the other RuleSpec fields the builder reads
-    choices: Callable[[int], list[dict]]  # admissible indices and signs at s
     units: Callable[[int, int, int], int]  # family size in G0/A0 units at (s, m, span)
+    has_ell: bool = True  # the builder takes a step index ell
+    admits: Callable[..., bool] | None = None  # predicate on the indices; None admits all
+    refusal: str = ""  # the ValueError text when ``admits`` is false
+    binary: tuple[tuple[str, tuple], ...] = ()  # (knob, its two values in walk order)
     phase_last: bool = False  # the walk varies step phase k[ell-1] last
 
     @property
-    def has_ell(self) -> bool:
-        return "ell" in self.knobs
+    def knobs(self) -> tuple[str, ...]:
+        """The RuleSpec fields the builder reads besides the indices."""
+        return ("ell",) * self.has_ell + ("z",) + tuple(name for name, _ in self.binary)
+
+    def choices(self, s: int) -> list[dict]:
+        """Every admissible choice of indices and binary knobs at ``s``, in
+        walk order: the indices lexicographically, then the binary knobs."""
+        names = self.indices + tuple(name for name, _ in self.binary)
+        knob_values = list(itertools.product(*(values for _, values in self.binary)))
+        return [
+            dict(zip(names, point + values))
+            for point in itertools.product(range(1, s + 1), repeat=len(self.indices))
+            if self.admits is None or self.admits(*point)
+            for values in knob_values
+        ]
 
     @property
     def build(self) -> Callable[..., EncoderParams]:
@@ -288,55 +295,33 @@ class RuleEntry(NamedTuple):
         return globals()[self.builder]
 
 
-def _grid(s):
-    return [(a, b) for a in range(1, s + 1) for b in range(1, s + 1)]
-
-
-def _offdiag(s):
-    return [(a, b) for a in range(1, s + 1) for b in range(1, a)]  # a > b
-
-
 _SIGNS = (1, -1)
+_BOOLS = (bool, np.bool_)
 
 _RULE_TABLE = {
-    "green": RuleEntry(
-        "green_params", ("u", "v"), ("z",),
-        lambda s: [dict(u=u, v=v) for u, v in _grid(s)],
-        lambda s, m, span: s**2,
-    ),
+    "green": RuleEntry("green_params", ("u", "v"), lambda s, m, span: s**2, has_ell=False),
     "yellow": RuleEntry(
-        "yellow_params", ("u", "v"), ("ell", "z"),
-        lambda s: [dict(u=u, v=v) for u, v in _grid(s) if u != v],
-        lambda s, m, span: s * (s - 1) * span,
+        "yellow_params", ("u", "v"), lambda s, m, span: s * (s - 1) * span,
+        admits=lambda u, v: u != v,
+        refusal="yellow rule needs two different diagonal radii (u != v)",
     ),
     "blue": RuleEntry(
-        "blue_params", ("u", "v", "w"), ("ell", "z", "sign_a", "rotate_b_half"),
-        lambda s: [
-            dict(u=u, v=v, w=w, rotate_b_half=half, sign_a=sign)
-            for u in range(1, s + 1)
-            for v, w in _offdiag(s)
-            for half in (True, False)
-            for sign in _SIGNS
-        ],
-        lambda s, m, span: 2 * s**2 * (s - 1) * span,
+        "blue_params", ("u", "v", "w"), lambda s, m, span: 2 * s**2 * (s - 1) * span,
+        admits=lambda u, v, w: v > w,
+        refusal="blue rule needs an off-diagonal pair with v > w",
+        binary=(("rotate_b_half", (True, False)), ("sign_a", _SIGNS)),
     ),
     "cyan": RuleEntry(
-        "cyan_params", ("u", "t", "v", "w"), ("ell", "z", "sign_a", "sign_b"),
-        lambda s: [
-            dict(u=u, t=t, v=v, w=w, sign_a=sa, sign_b=sb)
-            for u, t in _offdiag(s)
-            for v, w in _offdiag(s)
-            if (u, t) != (v, w)
-            for sa in _SIGNS
-            for sb in _SIGNS
-        ],
+        "cyan_params", ("u", "t", "v", "w"),
         lambda s, m, span: (s + 1) * s * (s - 1) * (s - 2) * span,
+        admits=lambda u, t, v, w: u > t and v > w and (u, t) != (v, w),
+        refusal="cyan rule needs two different off-diagonal points, u > t and v > w",
+        binary=(("sign_a", _SIGNS), ("sign_b", _SIGNS)),
     ),
     "orange": RuleEntry(
-        "orange_params", ("u", "v"), ("ell", "z", "sign_a"),
-        lambda s: [dict(u=u, v=v, sign_a=sign) for u, v in _offdiag(s) for sign in _SIGNS],
-        lambda s, m, span: s * (s - 1) * m,
-        phase_last=True,
+        "orange_params", ("u", "v"), lambda s, m, span: s * (s - 1) * m,
+        admits=lambda u, v: u > v, refusal="orange rule needs u > v",
+        binary=(("sign_a", _SIGNS),), phase_last=True,
     ),
 }
 

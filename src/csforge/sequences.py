@@ -97,8 +97,11 @@ def _number(value, name: str):
 
 
 def finite(value, name: str) -> float:
-    """``value`` as a float; nan and the infinities are refused."""
-    value = float(_number(value, name))
+    """``value`` as a float; nan, the infinities and integers beyond float range are refused."""
+    try:
+        value = float(_number(value, name))
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value

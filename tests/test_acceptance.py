@@ -188,16 +188,7 @@ def test_criterion_07_alphabet_closure():
             for _ in range(100):
                 combo = combos[rng.integers(len(combos))]
                 spec = qam.RuleSpec(
-                    rule=rule,
-                    u=combo.get("u", 1),
-                    v=combo.get("v", 1),
-                    w=combo.get("w", 1),
-                    t=combo.get("t", 1),
-                    ell=int(rng.integers(1, m + 1)),
-                    sign_a=combo.get("sign", combo.get("sign_a", 1)),
-                    sign_b=combo.get("sign_b", 1),
-                    rotate_b_half=combo.get("rotate_b_half", True),
-                    z=int(rng.integers(4)),
+                    rule=rule, **combo, ell=int(rng.integers(1, m + 1)), z=int(rng.integers(4)),
                     k=tuple(int(x) for x in rng.integers(0, 4, m)),
                 )
                 pi = tuple(int(x) for x in rng.permutation(np.arange(1, m + 1)))

@@ -94,6 +94,24 @@ def test_encode_rule_knobs_reach_the_builder(capsys, rule):
     assert not np.allclose(values_of(stepped), values_of(base))
 
 
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rule", "green", "--s", "2", "--indices", "1,1", f"--z={BEYOND_FLOAT}"],
+    ["--rule", "green", "--s", BEYOND_FLOAT, "--indices", f"{BEYOND_FLOAT},1"],
+    ["--rule", "cyan", "--s", BEYOND_FLOAT, "--indices", f"3,1,{BEYOND_FLOAT},2"],
+    ["--rule", "orange", "--s", "2", "--indices", "2,1", f"--k={BEYOND_FLOAT},0"],
+    ["--rule", "yellow", "--s", "2", "--indices", "1,2", "--m", "1000000000000000000"],
+])
+def test_encode_rule_refuses_values_beyond_float_range(capsys, argv):
+    # these escaped as OverflowError or MemoryError tracebacks with exit 1
+    code, out, err = run_cli(capsys, "encode", "--m", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_encode_reports_overlap(capsys):
     _, out, _ = run_cli(capsys, "encode", "--m", "2", "--H", "4")
     assert [r["overlap"] for r in json.loads(out)] == [False, False]
@@ -808,3 +826,60 @@ def test_encode_knob_fuzz(capsys, data):
     if code == 0:
         records = json.loads(out, parse_constant=_no_constants)
         assert [r["id"] for r in records] == ["c", "d"]
+
+
+# an index, lattice size, step or constant: in range, zero, negative, or an
+# integer no float holds
+RULE_INT = st.one_of(st.integers(-2, 6), st.sampled_from([10**6, 2**1024, -(10**400), 10**400]))
+RULE_STEP = st.one_of(MODERATE, st.integers(-8, 8), st.sampled_from([math.inf, math.nan]),
+                      st.sampled_from([2**1024, -(10**400)]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_encode_rule_fuzz(capsys, data):
+    rule = data.draw(st.sampled_from(qam.RULES), label="rule")
+    entry = qam.rule_entry(rule)
+    m = data.draw(st.integers(1, 4), label="m")
+    # half the draws keep every value in range, so that exit 0 is common too
+    wide = data.draw(st.booleans(), label="out of range")
+
+    def draw(label, good, bad):
+        return data.draw(st.one_of(good, bad) if wide else good, label=label)
+
+    s = draw("s", st.integers(3, 4), RULE_INT)
+    choices = entry.choices(s) if s in (3, 4) else []
+    choice = draw("choice", st.sampled_from(choices), st.none()) if choices else None
+    n = len(entry.indices)
+    indices = [choice[name] for name in entry.indices] if choice else data.draw(
+        st.lists(RULE_INT, min_size=n - 1, max_size=n + 1), label="indices")
+    argv = ["encode", f"--rule={rule}", f"--m={m}", f"--s={s}",
+            f"--indices={','.join(map(str, indices))}"]
+    for flag, good, bad in (
+        ("--ell", st.integers(1, m), RULE_INT),
+        ("--sign", st.sampled_from([1, -1]), st.sampled_from([0, 2, 10**400])),
+        ("--sign-b", st.sampled_from([1, -1]), st.sampled_from([0, 2, 10**400])),
+        ("--z", st.integers(0, 3), RULE_INT),
+        ("--k", st.lists(st.integers(0, 3), min_size=m, max_size=m),
+         st.lists(RULE_STEP, min_size=m - 1, max_size=m + 1)),
+        ("--pi", st.permutations(range(1, m + 1)), st.lists(RULE_INT, min_size=m, max_size=m)),
+    ):
+        if data.draw(st.booleans(), label=f"{flag} given"):
+            value = draw(flag, good, bad)
+            argv.append(f"{flag}={','.join(map(str, value)) if isinstance(value, list) else value}")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, such as --sign=2
+            code = exc.code
+    out, err = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.count("\n") + len(numeric) <= 1, (err, numeric)
+    if code == 0:
+        assert [r["id"] for r in json.loads(out, parse_constant=_no_constants)] == ["c", "d"]

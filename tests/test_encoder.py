@@ -243,7 +243,7 @@ def test_oracle_equivalence_at_max_vars():
 
 
 @pytest.mark.parametrize("knob", ["e", "k", "e_prime", "k_prime", "k_dprime"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
 def test_params_reject_non_finite(knob, value):
     with pytest.raises(ValueError, match="finite"):
         EncoderParams(m=2, H=4, **{knob: (value, 0.0) if knob in ("e", "k") else value})

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -137,6 +138,50 @@ def test_rule_index_constraints():
 
 
 @pytest.mark.parametrize("rule", qam.RULES)
+@pytest.mark.parametrize("s", range(5))
+def test_builders_accept_exactly_the_choices(rule, s):
+    # every index in 0..s+1 and every binary knob value, with values outside
+    # the set: 0 and 2, and 1 for a boolean knob, which a truthy check took
+    entry = qam.rule_entry(rule)
+    names = entry.indices + tuple(name for name, _ in entry.binary)
+    knob_values = [values + ((0, 2, 1) if isinstance(values[0], bool) else (0, 2))
+                   for _, values in entry.binary]
+    step = {"ell": 1} if entry.has_ell else {}
+    accepted = []
+    for point in itertools.product(range(s + 2), repeat=len(entry.indices)):
+        for values in itertools.product(*knob_values):
+            choice = dict(zip(names, point + values))
+            try:
+                entry.build(s=s, m=2, **step, **choice)
+            except ValueError:
+                continue
+            accepted.append(choice)
+    assert accepted == entry.choices(s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qam.green_params(s=2, u=1, v=1, m=2, z=2**1030),
+    lambda: qam.yellow_params(s=2, u=1, v=2, ell=1, m=2, z=-(10**400)),
+    lambda: qam.orange_params(s=2, u=2, v=1, ell=1, m=2, k=(10**400, 0)),
+    lambda: qam.green_params(s=10**400, u=10**400, v=1, m=2),
+    lambda: qam.cyan_params(s=10**400, u=10**400, t=1, v=3, w=1, ell=1, m=2),
+    lambda: lattice_geometry(1, 2**1024),
+])
+def test_values_beyond_float_range_are_refused(call):
+    with pytest.raises(ValueError, match="beyond float range"):
+        call()
+
+
+@pytest.mark.parametrize("rule", [rule for rule in qam.RULES if qam.rule_entry(rule).has_ell])
+def test_builders_refuse_m_before_building_step_lists(rule):
+    # [0.0] * m at m = 10**18 raised MemoryError, and at 10**30 OverflowError
+    choice = qam.rule_entry(rule).choices(3)[0]
+    for m in (17, 10**18, 10**30):
+        with pytest.raises(ValueError, match="m must be in"):
+            qam.rule_entry(rule).build(s=3, ell=m, m=m, **choice)
+
+
+@pytest.mark.parametrize("rule", qam.RULES)
 def test_rule_outputs_stay_on_lattice_and_complementary(rule):
     rng = np.random.default_rng(qam.RULES.index(rule))
     for s in (2, 4):
@@ -149,19 +194,7 @@ def test_rule_outputs_stay_on_lattice_and_complementary(rule):
             pi = tuple(int(x) for x in rng.permutation(np.arange(1, m + 1)))
             k = tuple(int(x) for x in rng.integers(0, 4, m))
             ell = int(rng.integers(1, m + 1))
-            spec = RuleSpec(
-                rule=rule,
-                u=combo.get("u", 1),
-                v=combo.get("v", 1),
-                w=combo.get("w", 1),
-                t=combo.get("t", 1),
-                ell=ell,
-                sign_a=combo.get("sign", combo.get("sign_a", 1)),
-                sign_b=combo.get("sign_b", 1),
-                rotate_b_half=combo.get("rotate_b_half", True),
-                z=int(rng.integers(4)),
-                k=k,
-            )
+            spec = RuleSpec(rule=rule, **combo, ell=ell, z=int(rng.integers(4)), k=k)
             params = rule_params(spec, s, m, pi=pi)
             res = encode_pair(params)
             assert on_lattice(res.c.values, s)
@@ -346,7 +379,7 @@ def test_family_rows_match_members(data):
         assert sequence_key(family[i]) == sequence_key(expected)
 
 
-def _two_halves_oracle(s, ell, m, pi, k, z, seed, half_a, half_b):
+def _two_halves_oracle(ell, m, pi, k, z, seed, half_a, half_b):
     """The rule's params through a RecursionParams and recursion_to_encoder."""
     def at_ell(value):
         steps = [0.0] * m
