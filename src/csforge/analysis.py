@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import as_array, pads, permutation
+from .sequences import as_array, integral, pads, permutation
 
 __all__ = [
     "ApacProfile",
@@ -33,8 +33,8 @@ __all__ = [
 GCP_TOL = 1e-9
 
 # Most points an oversampled envelope grid may have: 16 times the longest
-# pair the encoder builds (encoder.MAX_SEQUENCE_LENGTH), 1 GiB of complex
-# FFT output
+# pair the encoder builds (encoder.MAX_SEQUENCE_LENGTH), 512 MiB of real
+# power values
 MAX_GRID_POINTS = 16 << 22
 
 
@@ -43,12 +43,18 @@ class GridLimitError(RuntimeError):
 
 
 def _grid_points(oversample: int, n: int) -> int:
-    """The size of the oversampled grid, checked before anything is allocated."""
-    if oversample * n > MAX_GRID_POINTS:
+    """The size of the grid, checked before anything is allocated; oversample is an integer >= 4."""
+    try:
+        factor = integral(oversample, "oversample")
+    except TypeError:  # None and other non-numbers
+        factor = 0
+    if factor < 4:
+        raise ValueError(f"oversample must be an integer >= 4, got {oversample!r}")
+    if factor * n > MAX_GRID_POINTS:
         raise GridLimitError(
-            f"oversampled grid of {oversample} x {n} points exceeds the limit of {MAX_GRID_POINTS}"
+            f"oversampled grid of {factor} x {n} points exceeds the limit of {MAX_GRID_POINTS}"
         )
-    return oversample * n
+    return factor * n
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,14 @@ def papr_bound_db(seq) -> float:
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Instantaneous envelope power sampled on an oversampled symbol grid."""
+    """Envelope power ``power[i]`` at t_norm = t / T = i / len(power), an oversampled grid."""
 
     oversample: int
-    t_norm: np.ndarray
     power: np.ndarray
+
+    @property
+    def t_norm(self) -> np.ndarray:
+        return np.arange(len(self.power)) / len(self.power)
 
     @property
     def peak(self) -> float:
@@ -173,39 +182,28 @@ class PowerTrace:
 def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:
     """Measured peak-to-average power ratio of the time-domain symbol, in dB.
 
-    Evaluates |sum_i a_i e^(j 2 pi i t/T)|^2 at t = n T / (L * len(a)).  The
-    mean over the grid equals rho(0), i.e. the time average over the whole
-    symbol including structural zeros, so padding does not change the mean.
-    The sampled peak approaches the continuous-time peak from below.
+    ``power_from_apac`` gives |sum_i a_i e^(j 2 pi i t/T)|^2 at t = i T / (L * len(a)).
+    The grid mean equals rho(0), the time average over the whole symbol including
+    structural zeros, so padding does not change the mean.  The sampled peak
+    approaches the continuous-time peak from below.
     """
-    a = as_array(seq)
-    if oversample < 4:
-        raise ValueError("oversampling factor must be at least 4")
-    n_grid = _grid_points(oversample, len(a))
-    # sum_i a_i e^{+j w i} == conj(FFT(conj(a))), and |.| is FFT-magnitude
-    power = np.abs(np.fft.fft(np.conj(a), n_grid)) ** 2
-    trace = PowerTrace(
-        oversample=oversample,
-        t_norm=np.arange(n_grid) / n_grid,
-        power=power,
-    )
+    trace = PowerTrace(oversample=oversample, power=power_from_apac(apac(seq), oversample))
     if trace.mean <= 0:
         raise ValueError("zero sequence has no power ratio")
     return 10.0 * np.log10(trace.peak / trace.mean), trace
 
 
 def power_from_apac(profile: ApacProfile, oversample: int = 16) -> np.ndarray:
-    """Envelope power rebuilt from the autocorrelation, on the same grid.
+    """Envelope power at t = i T / G, G = oversample * n >= 4 n, from the autocorrelation.
 
-    sum_k rho(k) e^(j 2 pi k t/T) reproduces the directly evaluated power,
-    which is the spectral identity the complementarity bound rests on.  With
-    rho(k) placed at index k mod G on the G = oversample * n point grid, one
-    inverse FFT evaluates that sum at every t = i T / G.
+    |sum_i a_i e^(j 2 pi i t/T)|^2 = sum_k rho(k) e^(j 2 pi k t/T) is the spectral
+    identity the complementarity bound rests on.  rho is Hermitian, so one real
+    inverse FFT of rho(0..n-1) evaluates the sum on the whole grid.  Rounding can
+    leave about -1e-16 of the peak at nulls; the power is clipped at 0.
     """
     n_grid = _grid_points(oversample, profile.n)
-    spread = np.zeros(n_grid, dtype=complex)
-    np.add.at(spread, np.arange(1 - profile.n, profile.n) % n_grid, profile.values)
-    return np.real(n_grid * np.fft.ifft(spread))
+    power = np.fft.irfft(profile.values[profile.n - 1 :], n_grid, norm="forward")
+    return np.maximum(power, 0.0, out=power)
 
 
 def shifts_avoid_overlap(d: Sequence[int], pi: Sequence[int]) -> bool:

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ def correlate_gcp(a, b):
     n = len(a)
     combined = correlate_apac(a) + correlate_apac(b)
     return float(np.max(np.abs(combined[n:]), initial=0.0)), float(combined[n - 1].real)
+
+
+def direct_power(a, n_grid):
+    """|sum_i a_i e^(j 2 pi i t/T)|^2 on the n_grid-point grid, from one complex FFT."""
+    return np.abs(np.fft.fft(np.conj(np.asarray(a, dtype=complex)), n_grid)) ** 2
+
+
+def dft_power(a, n_grid):
+    """The same power summed term by term, O(n n_grid)."""
+    a = np.asarray(a, dtype=complex)
+    phase = np.exp(2j * np.pi * np.outer(np.arange(n_grid), np.arange(len(a))) / n_grid)
+    return np.abs(phase @ a) ** 2
 
 
 def correlate_papr_bound_db(a):
@@ -186,12 +199,49 @@ def test_trace_mean_equals_zero_lag():
 
 
 def test_power_reconstruction_identity():
+    # both production paths against the direct evaluation, on even and odd
+    # grids (odd n with odd oversample), n = 1, prime n and gapped sequences
     rng = np.random.default_rng(8)
-    for n in (11, 4096):
+    for n in (1, 2, 7, 11, 12, 97, 4096):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        _, trace = papr_oversampled_db(a, 16)
-        rebuilt = power_from_apac(apac(a), 16)
-        assert np.allclose(trace.power, rebuilt, rtol=1e-9, atol=1e-9 * trace.peak)
+        if n > 2:
+            a[rng.choice(n, n // 3, replace=False)] = 0.0
+        for oversample in (4, 5, 7, 16, 17):
+            n_grid = oversample * n
+            oracles = [direct_power(a, n_grid)] + ([dft_power(a, n_grid)] if n <= 97 else [])
+            db, trace = papr_oversampled_db(a, oversample)
+            rebuilt = power_from_apac(apac(a), oversample)
+            assert len(trace.power) == len(rebuilt) == n_grid
+            assert trace.power.min() >= 0 and rebuilt.min() >= 0
+            for expected in oracles:
+                tol = 1e-12 * expected.max()
+                assert np.max(np.abs(trace.power - expected)) <= tol
+                assert np.max(np.abs(rebuilt - expected)) <= tol
+                expected_db = 10 * np.log10(expected.max() / expected.mean())
+                assert db == pytest.approx(expected_db, abs=1e-12)
+
+
+def test_power_is_clipped_at_nulls():
+    # [1, 1, 1, 1] has exact nulls at t = T/4, T/2 and 3T/4, where the
+    # rebuilt sum lands about 4e-16 below 0 on the 5x grid before clipping
+    for oversample in (4, 5, 16):
+        power = power_from_apac(apac([1, 1, 1, 1]), oversample)
+        assert power.min() >= 0
+        assert np.max(np.abs(power - direct_power([1, 1, 1, 1], 4 * oversample))) <= 1e-12 * 16
+
+
+def test_envelope_scratch_is_two_real_grids_at_most():
+    # the envelope needs the real power grid and the autocorrelation's
+    # transforms, not a complex grid and its abs and square temporaries
+    n, oversample = 1 << 14, 16
+    a = np.random.default_rng(9).standard_normal(n) * (1 + 1j)
+    tracemalloc.start()
+    try:
+        papr_oversampled_db(a, oversample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * oversample * n, peak
 
 
 def test_constant_combined_power_for_encoded_pairs():
@@ -209,6 +259,26 @@ def test_constant_combined_power_for_encoded_pairs():
 def test_oversample_minimum():
     with pytest.raises(ValueError):
         papr_oversampled_db([1, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "oversample", [4.5, 0, -4, 1, 2, 3, True, False, None, "16", float("nan"), [16]]
+)
+def test_oversample_must_be_an_integer_of_at_least_four(oversample):
+    # both entry points refuse it with one line, where the grid is sized
+    for measure in (lambda: papr_oversampled_db([1, 1j, -1], oversample),
+                    lambda: power_from_apac(apac([1, 1j, -1]), oversample)):
+        with pytest.raises(ValueError, match="oversample") as info:
+            measure()
+        assert "\n" not in str(info.value)
+
+
+def test_integral_oversample_is_taken():
+    seq = [1, 1j, -1]
+    for integral_value in (4.0, np.int64(4)):
+        db, trace = papr_oversampled_db(seq, integral_value)
+        assert db == papr_oversampled_db(seq, 4)[0]
+        assert np.array_equal(trace.power, power_from_apac(apac(seq), 4))
 
 
 def test_shifts_avoid_overlap_cases():

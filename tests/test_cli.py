@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from csforge import cli, qam
 from csforge.analysis import MAX_GRID_POINTS
-from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH, EncoderParams, encode_pair
+from csforge.encoder import (
+    MAX_ENCODE_VARS,
+    MAX_SEQUENCE_LENGTH,
+    EncoderParams,
+    encode_pair,
+    known_seed,
+)
 from csforge.qam import MAX_COUNT_VARS, on_lattice
 from csforge.simulate import MAX_CODEBOOK
 
@@ -550,6 +556,55 @@ def test_papr_report_and_trace(tmp_path, capsys):
     lines = trace_file.read_text().strip().splitlines()
     assert lines[0] == "t_norm,power"
     assert len(lines) == 1 + 8 * 8
+
+
+def direct_papr_db(values, oversample):
+    """The ratio from one complex FFT of the whole grid, independent of the autocorrelation."""
+    power = np.abs(np.fft.fft(np.conj(values), oversample * len(values))) ** 2
+    return 10.0 * np.log10(power.max() / power.mean())
+
+
+@pytest.mark.parametrize("pad", [None, "1,0,2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_written_papr_matches_the_direct_evaluation(tmp_path, capsys, n, pad):
+    seed = known_seed(n)
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({
+        name: {"re": part.values.real.tolist(), "im": part.values.imag.tolist()}
+        for name, part in (("a", seed.a), ("b", seed.b))
+    }))
+    pair = tmp_path / "pair.json"
+    argv = ["encode", "--m", "3", "--H", "4", "--pi", "2,3,1", "--seed-pair", str(seed_file)]
+    assert run_cli(capsys, *argv, *(["--d", pad] if pad else []), "--out", str(pair))[0] == 0
+    records = json.loads(pair.read_text())
+    assert len(records[0]["values"]["re"]) == n * 8 + (3 if pad else 0)
+    code, out, _ = run_cli(capsys, "verify", str(pair), "--oversample", "5")
+    assert code == 0
+    verified = json.loads(out)["records"]
+    for index, record in enumerate(records):
+        values = values_of(record)
+        assert record["papr_db"] == pytest.approx(direct_papr_db(values, 16), rel=1e-12)
+        assert verified[index]["papr_db"] == pytest.approx(direct_papr_db(values, 5), rel=1e-12)
+        code, out, _ = run_cli(capsys, "papr", str(pair), "--index", str(index),
+                               "--oversample", "7")
+        assert code == 0
+        assert json.loads(out)["papr_db"] == pytest.approx(direct_papr_db(values, 7), rel=1e-12)
+
+
+@pytest.mark.parametrize("oversample", [4, 7, 16])
+def test_papr_trace_csv_keeps_its_time_column(tmp_path, capsys, oversample):
+    # the t_norm column is i / G written with repr(float), G = oversample * length
+    pair = tmp_path / "pair.json"
+    code, _, _ = run_cli(capsys, "encode", "--m", "2", "--H", "4", "--d", "0,1", "--out", str(pair))
+    assert code == 0
+    trace = tmp_path / "trace.csv"
+    argv = ["papr", str(pair), "--oversample", str(oversample), "--out", str(trace)]
+    assert run_cli(capsys, *argv)[0] == 0
+    header, *rows = trace.read_text().splitlines()
+    assert header == "t_norm,power"
+    n_grid = oversample * 5
+    assert [row.split(",")[0] for row in rows] == [repr(i / n_grid) for i in range(n_grid)]
+    assert min(float(row.split(",")[1]) for row in rows) >= 0
 
 
 def test_simulate_noiseless_and_deterministic(tmp_path, capsys):
