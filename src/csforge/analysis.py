@@ -8,6 +8,7 @@ OFDM symbol whose frequency coefficients are the sequence.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -150,22 +151,25 @@ def papr_bound_db(seq) -> float:
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Envelope power ``power[i]`` at t_norm = t / T = i / len(power), an oversampled grid."""
+    """Envelope power on the grid of G = oversample * n points, sample i at t_norm = i / G.
 
+    ``power`` is assembled from the phases that gave ``peak`` and ``mean``
+    when it is first read, so ``power.max() == peak``.
+    """
+
+    profile: ApacProfile
     oversample: int
-    power: np.ndarray
+    peak: float
+    mean: float
+
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        return power_from_apac(self.profile, self.oversample)
 
     @property
     def t_norm(self) -> np.ndarray:
-        return np.arange(len(self.power)) / len(self.power)
-
-    @property
-    def peak(self) -> float:
-        return float(np.max(self.power))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.power))
+        n_grid = _grid_points(self.oversample, self.profile.n)
+        return np.arange(n_grid) / n_grid
 
     def write_csv(self, dest) -> None:
         """Write `t_norm,power` rows with a header to a path or file object."""
@@ -182,28 +186,74 @@ class PowerTrace:
 def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:
     """Measured peak-to-average power ratio of the time-domain symbol, in dB.
 
-    ``power_from_apac`` gives |sum_i a_i e^(j 2 pi i t/T)|^2 at t = i T / (L * len(a)).
-    The grid mean equals rho(0), the time average over the whole symbol including
-    structural zeros, so padding does not change the mean.  The sampled peak
-    approaches the continuous-time peak from below.
+    The power |sum_i a_i e^(j 2 pi i t/T)|^2 at t = i T / (L * len(a)) is
+    reduced to its peak and mean phase by phase (``_phases``), so no grid is
+    held.  The grid mean equals rho(0), the time average over the whole symbol
+    including structural zeros, so padding does not change the mean.  The
+    sampled peak approaches the continuous-time peak from below.
     """
-    trace = PowerTrace(oversample=oversample, power=power_from_apac(apac(seq), oversample))
-    if trace.mean <= 0:
+    profile = apac(seq)
+    n_grid = _grid_points(oversample, profile.n)
+    peak = total = 0.0
+    for _, power in _phases(profile, n_grid):
+        peak = max(peak, float(power.max()))
+        total += float(power.sum())
+    if total <= 0:
         raise ValueError("zero sequence has no power ratio")
-    return 10.0 * np.log10(trace.peak / trace.mean), trace
+    mean = total / n_grid
+    return 10.0 * np.log10(peak / mean), PowerTrace(profile, oversample, peak, mean)
 
 
 def power_from_apac(profile: ApacProfile, oversample: int = 16) -> np.ndarray:
     """Envelope power at t = i T / G, G = oversample * n >= 4 n, from the autocorrelation.
 
     |sum_i a_i e^(j 2 pi i t/T)|^2 = sum_k rho(k) e^(j 2 pi k t/T) is the spectral
-    identity the complementarity bound rests on.  rho is Hermitian, so one real
-    inverse FFT of rho(0..n-1) evaluates the sum on the whole grid.  Rounding can
-    leave about -1e-16 of the peak at nulls; the power is clipped at 0.
+    identity the complementarity bound rests on.  The grid is assembled from
+    the same interleaved phases that ``papr_oversampled_db`` reduces.
     """
     n_grid = _grid_points(oversample, profile.n)
-    power = np.fft.irfft(profile.values[profile.n - 1 :], n_grid, norm="forward")
-    return np.maximum(power, 0.0, out=power)
+    power = np.empty(n_grid)
+    for where, phase in _phases(profile, n_grid):
+        power[where] = phase
+    return power
+
+
+# Fewest points a phase of the envelope grid is cut to: 512 KiB of float64
+# power and its transform stay in a core's L2 cache
+_PHASE_POINTS = 1 << 16
+
+
+def _phases(profile: ApacProfile, n_grid: int):
+    """The grid's power in S interleaved phases, one at a time: (slice, power).
+
+    Phase s holds samples s, s + S, ... of the grid.  Delaying t by s samples
+    turns rho(k) into rho(k) e^(j 2 pi k s / G), and rho is Hermitian, so the
+    phase is one real inverse FFT of those n coefficients onto G / S points.
+    S is the largest power of two that divides G and leaves each phase at
+    least 2 n points (fewer would alias lags: irfft keeps only the real part
+    of the Nyquist bin) and at least ``_PHASE_POINTS``; grids below 2^17
+    points and odd grids are one phase.  Rounding can leave about -1e-16 of
+    the peak at nulls; the power is clipped at 0.
+    """
+    n = profile.n
+    stride = 1
+    while n_grid % (2 * stride) == 0 and n_grid // (2 * stride) >= max(2 * n, _PHASE_POINTS):
+        stride *= 2
+    rho = profile.values[n - 1 :]
+    block = 1 << (n.bit_length() // 2)
+    turn = 2j * np.pi / n_grid
+    for s in range(stride):
+        coeffs = rho
+        if s:
+            # e^(j 2 pi k s / G) for k = hi + lo, lo < block: the outer product
+            # of two tables of about sqrt(n) exponentials, each angle k s
+            # reduced mod G in integers
+            hi = np.exp(np.arange(0, n, block) * s % n_grid * turn)
+            lo = np.exp(np.arange(block) * s % n_grid * turn)
+            coeffs = np.multiply.outer(hi, lo).ravel()[:n]
+            coeffs *= rho
+        power = np.fft.irfft(coeffs, n_grid // stride, norm="forward")
+        yield slice(s, None, stride), np.maximum(power, 0.0, out=power)
 
 
 def shifts_avoid_overlap(d: Sequence[int], pi: Sequence[int]) -> bool:

@@ -146,14 +146,33 @@ def _load_json(path: str):
 
 
 def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
-    # compact separators and one dumps call keep json on its C encoder;
-    # indent, or json.dump to a file, runs the pure-Python one per element
-    text = json.dumps(doc, separators=(",", ":"), allow_nan=allow_nan)
-    if out_path:
-        with _writing(out_path), open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write ``doc``, a dict or an iterable of list items, as one line of compact JSON.
+
+    Items are dumped and written one at a time, in the bytes of one ``dumps``
+    of the list, so items built on demand are never all held at once.  The
+    first is dumped before ``out_path`` is opened: if that fails, no file
+    is written and nothing is printed.
+    """
+    # compact separators and one dumps call per item keep json on its C
+    # encoder; indent, or json.dump to a file, runs the pure-Python one
+    dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
+    is_list = not isinstance(doc, dict)
+    texts = map(dumps, doc if is_list else (doc,))
+    first = next(texts, None)
+    with contextlib.ExitStack() as stack:
+        fh = sys.stdout
+        if out_path:
+            stack.enter_context(_writing(out_path))
+            fh = stack.enter_context(open(out_path, "w"))
+        if is_list:
+            fh.write("[")
+        if first is not None:
+            fh.write(first)
+            del first  # freed before the next item is built
+            for text in texts:
+                fh.write(",")
+                fh.write(text)
+        fh.write("]\n" if is_list else "\n")
 
 
 @contextlib.contextmanager
@@ -258,13 +277,14 @@ def cmd_encode(args) -> int:
     result = encode_pair(params)
     check = is_gcp(result.c, result.d)
     doc = params_to_dict(params)
-    records = [
-        sequence_record("c", result.c, args.oversample, check.residual, doc),
-        sequence_record("d", result.d, args.oversample, check.residual, doc),
-    ]
-    for record in records:
-        record["overlap"] = result.overlap
-    _emit(records, args.out)
+
+    def record(seq_id: str, seq: ComplexSequence) -> dict:
+        rec = sequence_record(seq_id, seq, args.oversample, check.residual, doc)
+        rec["overlap"] = result.overlap
+        return rec
+
+    # built one at a time as _emit writes them
+    _emit((record(*pair) for pair in (("c", result.c), ("d", result.d))), args.out)
     return EXIT_OK
 
 
@@ -282,16 +302,22 @@ def _records_from_file(path: str) -> list[dict]:
 
 def cmd_verify(args) -> int:
     records = _records_from_file(args.file)
+    ids = [rec.get("id") for rec in records]
     seqs = [ComplexSequence(_complex_from_json(rec["values"])) for rec in records]
+    del records  # the parsed lists hold several times the arrays' memory
     report: dict = {"schema": 1, "records": []}
-    for rec, seq in zip(records, seqs):
+    for seq_id, seq in zip(ids, seqs):
         papr_db, _ = papr_oversampled_db(seq, args.oversample)
+        clusters = seq.clusters()
         report["records"].append(
             {
-                "id": rec.get("id"),
+                "id": seq_id,
                 "length": len(seq),
-                "clusters": [{"start": a, "length": b - a} for a, b in seq.clusters()],
-                "gaps": _gaps(seq),
+                "clusters": [{"start": a, "length": b - a} for a, b in clusters],
+                "gaps": [
+                    {"start": prev_stop, "length": start - prev_stop}
+                    for (_, prev_stop), (start, _) in zip(clusters, clusters[1:])
+                ],
                 "papr_db": papr_db,
                 "papr_bound_db": papr_bound_db(seq),
             }
@@ -304,14 +330,6 @@ def cmd_verify(args) -> int:
         ok = check.ok
     _emit(report, args.out)
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _gaps(seq: ComplexSequence) -> list[dict]:
-    clusters = seq.clusters()
-    return [
-        {"start": prev_stop, "length": start - prev_stop}
-        for (_, prev_stop), (start, _) in zip(clusters, clusters[1:])
-    ]
 
 
 def cmd_enumerate(args) -> int:
@@ -383,6 +401,10 @@ def _codebook_from_args(args) -> np.ndarray:
             words = [_complex_from_json(e) for e in entries]
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"codebook file needs 'sequences' or a record list: {exc!r}") from exc
+        for index, word in enumerate(words):
+            if len(word) != len(words[0]):
+                raise InputError(f"codebook words differ in length: word 0 has {len(words[0])} "
+                                 f"entries, word {index} has {len(word)}")
         return np.asarray(words, dtype=complex)
     if args.rule:
         if args.m is None or args.s is None:

@@ -278,7 +278,7 @@ class _Tables(NamedTuple):
     """The parts of an encoding that the linear phase does not touch, with
     one leading entry per cell: a parameter set under one bit order."""
 
-    bits: np.ndarray  # (Q, 2^m, m): column n holds b_(n+1) of block x
+    bits: np.ndarray  # (Q, 2^m, m) int8: column n holds b_(n+1) of block x
     amp_c: np.ndarray  # (Q, 2^m) amplitude exponents per block
     amp_d: np.ndarray
     phase_c: np.ndarray  # (Q, 2^m) (H/2) q + sum k_n b_n + k' per block
@@ -306,7 +306,11 @@ def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
     p = ps[0]
     m = p.m
     x = np.arange(1 << m)
-    bits = np.tile((x[:, None] >> (m - pis[:, None, :])) & 1, (len(ps), 1, 1))
+    # one byte per bit: the matrix products below cast their operands to
+    # float anyway, and int64 bits made the largest temporaries of an encode
+    bits = x[:, None] >> (m - pis[:, None, :])
+    bits &= 1
+    bits = np.tile(bits.astype(np.int8), (len(ps), 1, 1))
     top = bits[..., -1]
     quad = np.sum(bits[..., :-1] & bits[..., 1:], axis=-1)
     n_seed = len(p.seed)

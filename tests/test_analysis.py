@@ -200,19 +200,24 @@ def test_trace_mean_equals_zero_lag():
 
 def test_power_reconstruction_identity():
     # both production paths against the direct evaluation, on even and odd
-    # grids (odd n with odd oversample), n = 1, prime n and gapped sequences
+    # grids (odd n with odd oversample), n = 1, prime n and gapped sequences;
+    # grids of 2^17 points and more are evaluated in 2, 4 or 8 interleaved
+    # phases (n = 65573 at oversample 16: phases of exactly 2 n points)
     rng = np.random.default_rng(8)
-    for n in (1, 2, 7, 11, 12, 97, 4096):
+    cases = [(n, (4, 5, 7, 16, 17)) for n in (1, 2, 7, 11, 12, 97, 4096)]
+    cases += [(n, (4, 5, 16, 17)) for n in (8192, 8197, 1 << 16, 65573)]
+    for n, oversamples in cases:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if n > 2:
             a[rng.choice(n, n // 3, replace=False)] = 0.0
-        for oversample in (4, 5, 7, 16, 17):
+        for oversample in oversamples:
             n_grid = oversample * n
             oracles = [direct_power(a, n_grid)] + ([dft_power(a, n_grid)] if n <= 97 else [])
             db, trace = papr_oversampled_db(a, oversample)
             rebuilt = power_from_apac(apac(a), oversample)
             assert len(trace.power) == len(rebuilt) == n_grid
             assert trace.power.min() >= 0 and rebuilt.min() >= 0
+            assert trace.power.max() == trace.peak
             for expected in oracles:
                 tol = 1e-12 * expected.max()
                 assert np.max(np.abs(trace.power - expected)) <= tol
@@ -231,9 +236,11 @@ def test_power_is_clipped_at_nulls():
 
 
 def test_envelope_scratch_is_two_real_grids_at_most():
-    # the envelope needs the real power grid and the autocorrelation's
-    # transforms, not a complex grid and its abs and square temporaries
-    n, oversample = 1 << 14, 16
+    # the envelope is reduced phase by phase and holds no grid: at n = 2^16,
+    # oversample 16 the bound is one 8 MiB real grid, which the phases meet
+    # (the autocorrelation's own transforms set the peak, 6 MiB) and one
+    # whole-grid irfft does not (10 MiB)
+    n, oversample = 1 << 16, 16
     a = np.random.default_rng(9).standard_normal(n) * (1 + 1j)
     tracemalloc.start()
     try:
@@ -241,7 +248,7 @@ def test_envelope_scratch_is_two_real_grids_at_most():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * oversample * n, peak
+    assert peak < 8 * oversample * n, peak
 
 
 def test_constant_combined_power_for_encoded_pairs():

@@ -303,6 +303,19 @@ def test_outputs_are_one_line_of_json(tmp_path, capsys, command):
     assert target.read_text() == out
 
 
+def test_encode_writes_one_dumps_of_its_records(tmp_path, capsys):
+    # the records are written one at a time, in the bytes of one compact
+    # dumps of the list, on stdout and to --out alike
+    argv = ["encode", "--m", "3", "--H", "4", "--d", "0,2,0"]
+    code, out, _ = run_cli(capsys, *argv)
+    records = json.loads(out)
+    assert code == 0 and [r["id"] for r in records] == ["c", "d"]
+    assert out == json.dumps(records, separators=(",", ":")) + "\n"
+    target = tmp_path / "pair.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
 def test_emit_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._emit({"papr_db": float("nan")}, None)
@@ -724,6 +737,16 @@ def test_simulate_rejects_codebooks_without_energy(tmp_path, capsys, words, reas
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and reason in err
+
+
+def test_simulate_rejects_codebook_words_of_unequal_lengths(tmp_path, capsys):
+    cb_file = tmp_path / "codebook.json"
+    words = [{"re": [1, 1], "im": [0, 0]}, {"re": [1, -1], "im": [0, 0]}, {"re": [1], "im": [0]}]
+    cb_file.write_text(json.dumps({"sequences": words}))
+    code, out, err = run_cli(capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "error: codebook words differ in length: word 0 has 2 entries, word 2 has 1\n"
 
 
 def test_simulate_rejects_malformed_codebook(tmp_path, capsys):
