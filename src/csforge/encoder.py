@@ -269,16 +269,10 @@ class EncodedPair(NamedTuple):
     overlap: bool
 
 
-# Scratch memory ``encode_family`` may use at once; rows are encoded in
-# chunks that fit it (the (B, L) result is the caller's).
-FAMILY_CHUNK_BYTES = 16 << 20
-
-
 class _Tables(NamedTuple):
-    """The parts of an encoding that the linear phase does not touch, with
-    one leading entry per cell: a parameter set under one bit order."""
+    """The block tables of an encoding, with one leading entry per cell: a
+    parameter set under one bit order."""
 
-    bits: np.ndarray  # (Q, 2^m, m) int8: column n holds b_(n+1) of block x
     amp_c: np.ndarray  # (Q, 2^m) amplitude exponents per block
     amp_d: np.ndarray
     phase_c: np.ndarray  # (Q, 2^m) (H/2) q + sum k_n b_n + k' per block
@@ -288,6 +282,16 @@ class _Tables(NamedTuple):
     # block x fills elements x * N to x * N + N - 1 and nothing overlaps
     positions: np.ndarray | None
     total: int  # output length
+
+
+def _index_bits(m: int, pis: np.ndarray) -> np.ndarray:
+    """(P, 2^m, m) int8: under the order pis[p], column n holds b_(n+1) of
+    block x, which is bit pi_(n+1) of x counted from the most significant."""
+    # one byte per bit: the matrix products of an encode cast their operands
+    # to float anyway, and int64 bits made its largest temporaries
+    bits = np.arange(1 << m)[:, None] >> (m - pis[:, None, :])
+    bits &= 1
+    return bits.astype(np.int8)
 
 
 def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
@@ -306,11 +310,7 @@ def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
     p = ps[0]
     m = p.m
     x = np.arange(1 << m)
-    # one byte per bit: the matrix products below cast their operands to
-    # float anyway, and int64 bits made the largest temporaries of an encode
-    bits = x[:, None] >> (m - pis[:, None, :])
-    bits &= 1
-    bits = np.tile(bits.astype(np.int8), (len(ps), 1, 1))
+    bits = np.tile(_index_bits(m, pis), (len(ps), 1, 1))
     top = bits[..., -1]
     quad = np.sum(bits[..., :-1] & bits[..., 1:], axis=-1)
     n_seed = len(p.seed)
@@ -334,7 +334,7 @@ def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
     if not np.all((0.0 < power) & (power < math.inf)):
         raise ValueError("amplitude exponents out of range: the pair's power is zero or overflows")
     linear = (bits @ k[..., None])[..., 0]
-    return _Tables(bits, amp_c, amp_d, p.H / 2 * quad + linear + k_prime,
+    return _Tables(amp_c, amp_d, p.H / 2 * quad + linear + k_prime,
                    p.H / 2 * (top ^ (quad & 1)) + linear + k_dprime, blocks, positions, total)
 
 
@@ -344,23 +344,22 @@ def _coefficients(H: int, amp, phase) -> np.ndarray:
     return np.exp(w * amp + 1j * w * np.mod(phase, H))
 
 
-def _place(t: _Tables, coef, out, cells=slice(None)) -> None:
-    """Scale each row's seed copies by its block coefficients and sum them into ``out``.
+def _place(t: _Tables, coef, out) -> None:
+    """Scale each cell's seed copies by its block coefficients and sum them into ``out``.
 
-    ``coef`` (Q, B, 2^m) holds the block coefficients of B rows in each of
-    the Q cells ``cells`` of ``t``; ``out`` (Q, B, length) gets one output
-    row per coefficient row.  Colliding elements are summed in element
-    order, and every sum starts from +0.0, so no element is -0.0.
+    ``coef`` (Q, 2^m) holds the block coefficients of the Q cells of ``t``;
+    ``out`` (Q, length) gets one output row per cell.  Colliding elements
+    are summed in element order, and every sum starts from +0.0, so no
+    element is -0.0.
     """
     if t.positions is None:
         copies = out.view()
-        copies.shape = (*out.shape[:2], *t.blocks.shape[1:])  # raises rather than copy
-        np.multiply(t.blocks[cells, None], coef[..., None], out=copies)
+        copies.shape = t.blocks.shape  # raises rather than copy
+        np.multiply(t.blocks, coef[..., None], out=copies)
         np.add(out, 0.0, out=out)
         return
-    values = t.blocks[cells, None] * coef[..., None]
-    rows = np.arange(len(coef) * coef.shape[1]).reshape(len(coef), -1, 1)
-    index = (rows * t.total + t.positions[cells, None]).ravel()
+    values = t.blocks * coef[..., None]
+    index = (np.arange(len(coef))[:, None] * t.total + t.positions).ravel()
     out[...] = (np.bincount(index, weights=values.real.ravel(), minlength=out.size)
                 + 1j * np.bincount(index, weights=values.imag.ravel(), minlength=out.size)
                 ).reshape(out.shape)
@@ -388,26 +387,24 @@ def encode_pair(params: EncoderParams) -> EncodedPair:
     """
     p = params
     t = _tables([p], np.array([p.pi]))
-    c, d = np.empty((2, 1, 1, t.total), dtype=complex)
-    _place(t, _coefficients(p.H, t.amp_c, t.phase_c)[:, None], c)
-    _place(t, _coefficients(p.H, t.amp_d, t.phase_d)[:, None], d)
+    c, d = np.empty((2, 1, t.total), dtype=complex)
+    _place(t, _coefficients(p.H, t.amp_c, t.phase_c), c)
+    _place(t, _coefficients(p.H, t.amp_d, t.phase_d), d)
     overlap = t.positions is not None and np.max(np.bincount(t.positions[0])) > 1
-    return EncodedPair(c=ComplexSequence(c[0, 0]), d=ComplexSequence(d[0, 0]), overlap=bool(overlap))
+    return EncodedPair(c=ComplexSequence(c[0]), d=ComplexSequence(d[0]), overlap=bool(overlap))
 
 
-def encode_family(params, K, z, pis=None) -> np.ndarray:
-    """First outputs of whole phase families, one row per member.
+def encode_family(params, pis=None) -> np.ndarray:
+    """First outputs of stacked parameter sets under stacked bit orders.
 
     ``params`` is one EncoderParams or a sequence of G of them that share
     m, H, d and the seed; ``pis`` (P, m) stacks bit orders (default: the
-    first set's order alone).  Row (g * P + p) * B + b of the (G * P * B, L)
-    result is ``encode_pair(params[g]).c.values`` with the order pis[p], the
-    phase steps k + K[b] and both constants k' + z[b] and k'' + z[b]: only
-    the amplitudes, the order and the linear phase sum k_n b_n + k' move
-    between members, so the tables are built once for the whole stack.
-    Rows agree with the scalar path to rounding.  Rows are encoded in
-    chunks under ``FAMILY_CHUNK_BYTES`` of scratch memory.  Raises the power
-    ValueError that ``encode_pair`` raises, for any set and order.
+    first set's order alone).  Row g * P + p of the (G * P, L) result is
+    ``encode_pair(params[g]).c.values`` with the order pis[p]: only the
+    amplitudes, the phases and the order move between cells, so the tables
+    are built once for the whole stack.  Rows agree with the scalar path to
+    rounding.  Raises the power ValueError that ``encode_pair`` raises, for
+    any set and order.
     """
     ps = [params] if isinstance(params, EncoderParams) else list(params)
     if not ps:
@@ -416,48 +413,14 @@ def encode_family(params, K, z, pis=None) -> np.ndarray:
     if any((q.m, q.H, q.d) != (p.m, p.H, p.d) or q.seed is not p.seed and q.seed != p.seed
            for q in ps):
         raise ValueError("stacked parameter sets must share m, H, d and the seed")
-    K = np.asarray(K, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if K.ndim != 2 or K.shape[1] != p.m or z.shape != (len(K),):
-        raise ValueError(f"K must be (B, {p.m}) and z (B,), got {K.shape} and {z.shape}")
-    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(z))):
-        raise ValueError("K and z must be finite")
     pis = np.asarray([p.pi] if pis is None else pis)
     if pis.ndim != 2 or not np.issubdtype(pis.dtype, np.integer) or any(
             sorted(pi) != list(range(1, p.m + 1)) for pi in pis.tolist()):
         raise ValueError(f"pis must be rows of permutations of 1..{p.m}, got {pis.tolist()}")
     t = _tables(ps, pis)
-    bits_t = np.swapaxes(t.bits, 1, 2).astype(float)
-    # When K and z hold small non-negative integers, as in the exhaustive
-    # walk, block x of a row takes one of a few phases (phase_c + s) + z with
-    # s = sum K_n b_n: the coefficients are then taken once per (cell,
-    # block, s, z) and looked up, which gives the same floats
-    n_sum, n_z = K.sum(axis=1).max(initial=0) + 1, z.max(initial=0) + 1
-    small = bool(len(K) and K.min() >= 0 and z.min() >= 0
-                 and np.all(K % 1 == 0) and np.all(z % 1 == 0))
-    out = np.empty((len(bits_t), len(K), t.total), dtype=complex)
-    # per row: phases and coefficients per block, values, weights and index
-    # per element, two bincount sums and the complex result per output slot
-    row_bytes = 56 * t.bits.shape[1] + 48 * t.blocks[0].size + 32 * t.total
-    rows = max(1, FAMILY_CHUNK_BYTES // row_bytes)
-    # whole cells at a time while their rows fit, else part of one cell
-    step, rows = max(1, rows // max(len(K), 1)), max(1, min(rows, len(K)))
-    for first in range(0, len(bits_t), step):
-        cells = slice(first, first + step)
-        for lo in range(0, len(K), rows):
-            chunk = slice(lo, lo + rows)
-            if small and n_sum * n_z <= len(K[chunk]):
-                table = _coefficients(p.H, t.amp_c[cells, :, None, None], (
-                    t.phase_c[cells, :, None, None] + np.arange(n_sum)[:, None]) + np.arange(n_z))
-                # the table entry of each (cell, row, block)
-                code = (K[chunk] @ bits_t[cells] * n_z + z[chunk, None]).astype(np.intp)
-                code += np.arange(table[..., 0, 0].size).reshape(len(table), 1, -1) * int(n_sum * n_z)
-                coef = table.reshape(-1)[code]
-            else:
-                phase = (t.phase_c[cells, None] + K[chunk] @ bits_t[cells]) + z[chunk, None]
-                coef = _coefficients(p.H, t.amp_c[cells, None], phase)
-            _place(t, coef, out[cells, chunk], cells)
-    return out.reshape(-1, t.total)
+    out = np.empty((len(t.amp_c), t.total), dtype=complex)
+    _place(t, _coefficients(p.H, t.amp_c, t.phase_c), out)
+    return out
 
 
 def run_recursion(params: RecursionParams) -> tuple[ComplexSequence, ComplexSequence]:

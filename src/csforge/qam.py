@@ -32,7 +32,8 @@ import numpy as np
 # encode_pair and recursion_to_encoder are not called here; they stay bound in
 # this module because perfbench/tracing.py wraps them under these names
 from .encoder import (  # noqa: F401
-    MAX_ENCODE_VARS, EncoderParams, SeedPair, encode_family, encode_pair, recursion_to_encoder,
+    MAX_ENCODE_VARS, EncoderParams, SeedPair, _index_bits, encode_family, encode_pair,
+    recursion_to_encoder,
 )
 from .sequences import finite, finite_steps, permutation
 
@@ -424,9 +425,12 @@ def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     Per admissible choice: every step choice (rules without one have a
     single), every order, 4^m step phases and one free constant.  The
     choices are counted without listing them: there are as many as the
-    family has units at m = 1 over a span of one.
+    family has units at m = 1 over a span of one.  EnumerationLimitError
+    above MAX_COUNT_VARS, as for the counts.
     """
     entry = rule_entry(rule)
+    if m > MAX_COUNT_VARS:
+        raise EnumerationLimitError(f"walks limited to m <= {MAX_COUNT_VARS}")
     n_pis = n_pis if n_pis is not None else math.factorial(m)
     n_ells = (n_ells if n_ells is not None else m) if entry.has_ell else 1
     n_choices = entry.units(s, 1, 1) if s >= 1 else 0
@@ -473,16 +477,18 @@ def _walk(rule, s, m, pis, ells, seed, guard, distinct):
     that keeps no order is not encoded, and a batch encodes only the orders
     that one of its groups keeps."""
     entry = rule_entry(rule)
-    pis = np.array([permutation(p, m, 1, "pi") for p in pis] if pis is not None else list(
-        itertools.permutations(range(1, m + 1))), dtype=np.intp).reshape(-1, m)
-    pis.flags.writeable = False
+    pis = None if pis is None else [permutation(p, m, 1, "pi") for p in pis]
     ells = list(ells) if ells is not None else list(range(1, m + 1))
-    size = enumeration_size(rule, s, m, len(pis), len(ells))
+    # checked before the m! orders are listed
+    size = enumeration_size(rule, s, m, None if pis is None else len(pis), len(ells))
     limit = DEFAULT_ENUM_GUARD if guard is None else int(guard)
     if size > limit:
         raise EnumerationLimitError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
+    pis = np.array(pis if pis is not None else list(itertools.permutations(range(1, m + 1))),
+                   dtype=np.intp).reshape(-1, m)
+    pis.flags.writeable = False
     K, z = _phase_grid(m)
     length = (1 if seed is None else len(seed)) << m
     order_bytes = 16 * length * len(K)
@@ -512,7 +518,7 @@ def _walk(rule, s, m, pis, ells, seed, guard, distinct):
             cells = cells[:, used]
             for lo in range(0, len(orders), per_block):
                 part = slice(lo, lo + per_block)
-                values = encode_family(batch, rows, z, orders[part])
+                values = _members(encode_family(batch, orders[part]), orders[part], rows, z)
                 values.flags.writeable = False
                 for params, mine, block in zip(batch, cells[:, part], np.split(values, len(batch))):
                     if mine.all():
@@ -524,6 +530,26 @@ def _walk(rule, s, m, pis, ells, seed, guard, distinct):
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _members(base: np.ndarray, pis: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The members of each cell's group, from the cell's first output.
+
+    ``base`` (G * P, L) holds the first outputs of G gapless parameter sets
+    under the P orders ``pis``, as ``encode_family`` returns them.  Row
+    (g * P + p) * B + b of the result is the member with the phase steps
+    k + K[b] and the constant z[b]: base row g * P + p turned block by
+    block by j^(z[b] + sum K[b, n] b_n(x)), with the bits b_n of the order
+    pis[p].  Every rule has H = 4, so the turns are exact and no exponential
+    is taken again.
+    """
+    m = pis.shape[1]
+    # (P, B, 2^m): the quarter turn of each member's block x
+    turns = _QUARTER_TURNS[(K @ np.swapaxes(_index_bits(m, pis), 1, 2) + z[:, None]) & 3]
+    blocks = base.reshape(-1, len(pis), 1, 1 << m, base.shape[1] >> m)
+    members = blocks * turns[..., None]
+    members += 0.0  # no element is -0.0, as in encode_pair
+    return members.reshape(-1, base.shape[1])
 
 
 def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
@@ -566,8 +592,7 @@ def _first_groups(groups: list[EncoderParams], pis: np.ndarray, length: int) -> 
     kept = []
     per_call = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
     for first in range(0, len(groups), per_call):
-        # each cell's member with k = 0 and z = 0
-        rows = encode_family(groups[first : first + per_call], np.zeros((1, m)), np.zeros(1), pis)
+        rows = encode_family(groups[first : first + per_call], pis)
         for key in map(np.ndarray.tobytes, _canonical(_key_values(rows), m)):
             kept.append(key not in seen)
             seen.add(key)

@@ -541,6 +541,17 @@ def test_enumerate_guard_exit(capsys, monkeypatch):
     assert "guard" in err
 
 
+def test_enumerate_dedup_refuses_many_orders_at_once(capsys):
+    # 17! orders: the walk is refused before it lists them
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "17",
+                             "--dedup")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "guard" in err
+
+
 @pytest.mark.parametrize("command", ["encode", "verify", "papr"])
 def test_oversample_bounded_before_any_grid(tmp_path, capsys, command):
     # 10^11 grid points per element: refused before the FFT allocates anything

@@ -1,6 +1,4 @@
-import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +25,7 @@ from csforge import (
     run_recursion,
     shifts_avoid_overlap,
 )
-from csforge.encoder import FAMILY_CHUNK_BYTES, MAX_SEQUENCE_LENGTH, SequenceLengthError
+from csforge.encoder import MAX_SEQUENCE_LENGTH, SequenceLengthError
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -298,7 +296,7 @@ def test_unrepresentable_power_is_rejected(e_prime):
     with pytest.raises(ValueError, match="power"):
         encode_pair(EncoderParams(m=2, H=4, e_prime=e_prime))
     with pytest.raises(ValueError, match="power"):
-        encode_family(EncoderParams(m=2, H=4, e_prime=e_prime), np.zeros((3, 2)), np.zeros(3))
+        encode_family(EncoderParams(m=2, H=4, e_prime=e_prime))
 
 
 def test_power_counts_the_second_output():
@@ -314,57 +312,36 @@ def test_power_counts_the_second_output():
     with pytest.raises(ValueError, match="power"):
         encode_pair(params)
     with pytest.raises(ValueError, match="power"):
-        encode_family(params, np.zeros((3, 1)), np.zeros(3))
-
-
-def test_family_rows_match_scalar_encodes():
-    # any parameters, gaps and overlaps included, and real-valued phase shifts
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        p = random_encoder_params(rng, m_max=6, seed_lengths=(1, 2, 3, 4), shift_mode="mixed")
-        rows = int(rng.integers(1, 5))
-        K = rng.uniform(-p.H, 2 * p.H, (rows, p.m))
-        z = rng.uniform(-p.H, 2 * p.H, rows)
-        family = encode_family(p, K, z)
-        for i in range(rows):
-            member = replace(p, k=tuple(np.add(p.k, K[i])), k_prime=p.k_prime + z[i],
-                             k_dprime=p.k_dprime + z[i])
-            assert pair_matches(family[i], encode_pair(member).c.values, rtol=1e-12)
+        encode_family(params)
 
 
 def test_family_stacks_of_sets_and_orders_match_single_encodes():
-    # G sets that share m, H, d and the seed, under P orders, with integral
-    # phase rows (looked up) and real ones (computed): row (g * P + p) * B + b
-    # is row b of the set g re-ordered by pis[p], to rounding
+    # G sets that share m, H, d and the seed, under P orders: row g * P + p
+    # is the first output of the set g re-ordered by pis[p], to rounding
     rng = np.random.default_rng(29)
-    for trial in range(60):
+    for _ in range(60):
         first = random_encoder_params(rng, m_max=5, seed_lengths=(1, 2, 3, 4), shift_mode="mixed")
         ps = [first] + [replace(random_encoder_params(rng, m_min=first.m, m_max=first.m),
                                 H=first.H, d=first.d, seed=first.seed)
                         for _ in range(int(rng.integers(0, 3)))]
         pis = [tuple(int(v) for v in rng.permutation(np.arange(1, first.m + 1)))
                for _ in range(int(rng.integers(1, 4)))]
-        B = int(rng.integers(1, 40))
-        if trial % 2:
-            K, z = rng.integers(0, 4, (B, first.m)), rng.integers(0, 4, B)
-        else:
-            K, z = rng.uniform(-first.H, first.H, (B, first.m)), rng.uniform(0, first.H, B)
-        stacked = encode_family(ps, K, z, pis)
-        assert stacked.shape == (len(ps) * len(pis) * B, (len(first.seed) << first.m) + sum(first.d))
-        single = np.concatenate([encode_family(replace(p, pi=pi), K, z) for p in ps for pi in pis])
-        assert pair_matches(stacked, single, rtol=1e-12)
+        stacked = encode_family(ps, pis)
+        assert stacked.shape == (len(ps) * len(pis), (len(first.seed) << first.m) + sum(first.d))
+        single = [encode_pair(replace(p, pi=pi)).c.values for p in ps for pi in pis]
+        assert pair_matches(stacked, np.array(single), rtol=1e-12)
+    assert np.array_equal(encode_family(first), [encode_pair(first).c.values])
 
 
 def test_family_rule_stacks_are_bit_for_bit():
     # rule parameters have at most two nonzero steps, so stacking them moves no bit
     entry = qam.rule_entry("cyan")
-    ps = [entry.build(s=3, m=3, ell=ell, pi=None, k=None, z=0, seed=known_seed(3), **choice)
-          for choice in entry.choices(3)[:4] for ell in (1, 3)]
+    ps = [entry.build(s=3, m=3, ell=ell, pi=None, k=k, z=z, seed=known_seed(3), **choice)
+          for choice in entry.choices(3)[:4] for ell in (1, 3)
+          for k, z in (((0, 0, 0), 0), ((1, 3, 2), 3))]
     pis = [(3, 1, 2), (1, 2, 3), (2, 3, 1)]
-    K = np.array(list(itertools.product(range(4), repeat=3))).repeat(4, axis=0)
-    z = np.tile(np.arange(4), 64)
-    stacked = encode_family(ps, K, z, pis)
-    single = np.concatenate([encode_family(replace(p, pi=pi), K, z) for p in ps for pi in pis])
+    stacked = encode_family(ps, pis)
+    single = np.array([encode_pair(replace(p, pi=pi)).c.values for p in ps for pi in pis])
     assert stacked.tobytes() == single.tobytes()
 
 
@@ -373,45 +350,15 @@ def test_family_rule_stacks_are_bit_for_bit():
 ])
 def test_family_stack_must_share_the_tables(other):
     with pytest.raises(ValueError, match="share"):
-        encode_family([EncoderParams(m=2, H=4), EncoderParams(**other)], np.zeros((1, 2)), np.zeros(1))
+        encode_family([EncoderParams(m=2, H=4), EncoderParams(**other)])
     with pytest.raises(ValueError):
-        encode_family([], np.zeros((1, 2)), np.zeros(1))
+        encode_family([])
 
 
 @pytest.mark.parametrize("pis", [[(1, 1)], [(1, 3)], [(1, 2, 3)], [1, 2], [(1.0, 2.0)], [[(1, 2)]]])
 def test_family_rejects_bad_orders(pis):
     with pytest.raises(ValueError, match="pis"):
-        encode_family(EncoderParams(m=2, H=4), np.zeros((1, 2)), np.zeros(1), pis)
-
-
-@pytest.mark.parametrize("K, z", [
-    (np.zeros((2, 3)), np.zeros(2)),  # m = 2 columns needed
-    (np.zeros((2, 2)), np.zeros(3)),
-    (np.zeros(2), np.zeros(1)),
-    (np.array([[0.0, np.nan]]), np.zeros(1)),
-    (np.zeros((1, 2)), np.array([np.inf])),
-])
-def test_family_rejects_bad_phase_rows(K, z):
-    with pytest.raises(ValueError):
-        encode_family(EncoderParams(m=2, H=4), K, z)
-
-
-def test_family_memory_is_bounded():
-    # 16,384 rows of length 64: the (B, L) result takes 16 MiB, and encoding
-    # every row at once would need 80 MiB of scratch arrays
-    params = EncoderParams(m=6, H=4, e=(0.1,) * 6, k=(1, 0, 3, 2, 1, 0))
-    rows = 4**7
-    K = np.repeat(np.arange(4.0)[:, None], rows // 4, axis=0) * np.ones(6)
-    z = np.zeros(rows)
-    tracemalloc.start()
-    try:
-        out = encode_family(params, K, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (rows, 64)
-    assert peak - out.nbytes <= FAMILY_CHUNK_BYTES
-    assert np.array_equal(out[-1], encode_family(params, K[-1:], z[-1:])[0])
+        encode_family(EncoderParams(m=2, H=4), pis)
 
 
 def test_length_guard():

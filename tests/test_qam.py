@@ -371,7 +371,7 @@ def test_family_rows_match_members(data):
                                     min_size=B, max_size=B), label="K"))
     z = np.array(data.draw(st.lists(phase, min_size=B, max_size=B), label="z"))
     fixed = dict(choice, **step, s=s, m=m, pi=pi, seed=seed)
-    family = encode_family(entry.build(k=None, z=0, **fixed), K, z)
+    family = qam._members(encode_family(entry.build(k=None, z=0, **fixed)), np.array([pi]), K, z)
     assert family.shape == (B, len(seed) << m)
     for i in range(B):
         expected = encode_pair(entry.build(k=tuple(K[i]), z=int(z[i]), **fixed)).c.values
@@ -531,8 +531,7 @@ def test_group_key_is_shared_by_the_whole_group(data):
     pi = tuple(data.draw(st.permutations(range(1, m + 1)), label="pi"))
     seed = known_seed(data.draw(st.integers(1, 4), label="N"))
     params = entry.build(k=None, z=0, pi=pi, s=s, m=m, seed=seed, **choice, **step)
-    K, z = qam._phase_grid(m)
-    keys = qam._key_values(encode_family(params, K, z))
+    keys = qam._key_values(qam._members(encode_family(params), np.array([pi]), *qam._phase_grid(m)))
     # the 4^(m+1) members of the group are pairwise distinct
     assert len({row.tobytes() for row in keys}) == 4 ** (m + 1)
     group = qam._canonical(keys.copy(), m)
@@ -559,17 +558,24 @@ def test_distinct_walk_encodes_no_earlier_group(monkeypatch, rule, s, m, n_seed)
             if not keys & seen:
                 first.add(_cell(params, pi))
             seen |= keys
-    stacks = []
+    stacks, keyed = [], []
+    first_groups = qam._first_groups
 
-    def spy(stack, K, z, pis=None):
-        if len(K) > 1:  # a walk encode, not the keys' k = 0, z = 0 rows
+    def keys_spy(*args):
+        kept = first_groups(*args)
+        keyed.append(kept)  # every encode from here on is a walk encode
+        return kept
+
+    def spy(stack, pis=None):
+        if keyed:
             stacks.append([[_cell(params, pi) for pi in pis] for params in stack])
-        return encode_family(stack, K, z, pis)
+        return encode_family(stack, pis)
 
+    monkeypatch.setattr(qam, "_first_groups", keys_spy)
     monkeypatch.setattr(qam, "encode_family", spy)
     assert distinct_sequences(rule, s, m, seed=seed) == len(first) * 4 ** (m + 1)
     encoded = [cell for stack in stacks for cells in stack for cell in cells]
-    assert first <= set(encoded) and len(set(encoded)) == len(encoded)
+    assert len(keyed) == 1 and first <= set(encoded) and len(set(encoded)) == len(encoded)
     for stack in stacks:
         # every group of a stack keeps one of its orders, and every order is
         # kept by one of its groups; a stack of one group encodes no other cell
@@ -587,6 +593,21 @@ def test_distinct_walk_refuses_a_zero_seed_sequence():
     assert "\n" not in str(info.value)
     with pytest.raises(ValueError, match="zero"):
         next(distinct_values("yellow", 2, 2, seed=SeedPair([1, 0], [0, 0])))
+
+
+def test_walk_is_refused_before_its_orders_are_listed():
+    # green s=1 m=9 has 9! orders; listing them before the refusal held 77.5 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError, match="guard"):
+            distinct_sequences("green", 1, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    # the exact count of m = 10^4 has more digits than Python writes out
+    with pytest.raises(EnumerationLimitError, match=str(qam.MAX_COUNT_VARS)):
+        distinct_sequences("green", 1, 10**4)
 
 
 def test_distinct_walk_peak_does_not_grow_with_the_walk():
