@@ -5,6 +5,8 @@ the closest codeword in Euclidean distance.  For a two-word codebook the
 error rate has a closed form, which the simulation tracks.
 """
 
+import numpy as np
+
 from csforge import min_distance_sim, pairwise_error_rate, qam
 
 pair = [(1, 1), (1, -1)]
@@ -17,7 +19,7 @@ for point, ber in zip(report.ebn0_db, report.ber):
     print(f"  Eb/N0 {point:+6.1f} dB: simulated {ber:.4f}, analytic {analytic:.4f}")
 
 print("\nquaternary codebook from the green rule (s=1, m=2): 64 words, 6 bits")
-words = list(qam.distinct_values("green", 1, 2))
+words = np.concatenate(list(qam.distinct_blocks("green", 1, 2)))
 
 report = min_distance_sim(words, [float("inf"), 0.0, 4.0], trials=20_000, rng_seed=3)
 for point, ber in zip(report.ebn0_db, report.ber):

@@ -36,7 +36,6 @@ from .qam import (
     count_sequences,
     distinct_blocks,
     distinct_sequences,
-    distinct_values,
     enumerate_rule,
     is_qam_point,
     lattice_geometry,
@@ -70,7 +69,6 @@ __all__ = [
     "count_sequences",
     "distinct_blocks",
     "distinct_sequences",
-    "distinct_values",
     "encode_family",
     "encode_pair",
     "enumerate_rule",

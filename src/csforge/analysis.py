@@ -120,14 +120,18 @@ class GcpCheck:
         return self.violation / self.energy if self.energy > 0 else float("inf")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def is_gcp(a, b, tol: float = GCP_TOL) -> GcpCheck:
     """Check that the off-peak autocorrelations of a and b cancel.
 
     Passes when max_{k!=0} |rho_a(k) + rho_b(k)| <= tol * (rho_a(0) + rho_b(0));
     ValueError unless tol is finite and >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     a = as_array(a)
     b = as_array(b)
     if len(a) != len(b):

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import qam
-from .analysis import GridLimitError, is_gcp, papr_bound_db, papr_oversampled_db
+from .analysis import GridLimitError, _check_tol, is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
 from .sequences import ComplexSequence, integral
 from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
@@ -218,6 +218,8 @@ _LIST_KNOBS = (("pi", _int_list), ("e", _float_list), ("k", _float_list), ("d", 
 def _seed_from_args(args) -> SeedPair | None:
     if getattr(args, "seed_pair", None):
         doc = _load_json(args.seed_pair)
+        if not isinstance(doc, dict):
+            raise InputError("seed pair must be a JSON object with 'a' and 'b' arrays")
         try:
             return SeedPair(_complex_from_json(doc["a"]), _complex_from_json(doc["b"]))
         except (KeyError, ValueError) as exc:
@@ -301,6 +303,7 @@ def _records_from_file(path: str) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)  # also when a single record never reaches is_gcp
     records = _records_from_file(args.file)
     ids = [rec.get("id") for rec in records]
     seqs = [ComplexSequence(_complex_from_json(rec["values"])) for rec in records]

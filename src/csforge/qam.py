@@ -52,7 +52,6 @@ __all__ = [
     "cyan_params",
     "distinct_blocks",
     "distinct_sequences",
-    "distinct_values",
     "enumerate_rule",
     "enumeration_size",
     "green_params",
@@ -76,7 +75,8 @@ _SCALE = 4.0 / (2.0 * math.pi)
 DEFAULT_ENUM_GUARD = 10_000_000
 
 # About how many bytes of first outputs one encode of the walk writes (one
-# order at least); at 128 KiB its scratch stays under about 1 MB
+# group's orders at least), and the most bytes of members in one of its
+# blocks (one order at least); at 128 KiB its scratch stays under about 1 MB
 WALK_BLOCK_BYTES = 1 << 17
 
 # Largest m the closed-form counts take: m! * 4^(m+1) has 3,171 digits at
@@ -473,9 +473,9 @@ def enumerate_rule(
 
 def _walk(rule, s, m, pis, ells, seed, guard, distinct):
     """``enumerate_rule``'s blocks; when ``distinct``, only the rows of the
-    (choice, ell, pi) groups that ``_first_groups`` keeps.  A (choice, ell)
-    that keeps no order is not encoded, and a batch encodes only the orders
-    that one of its groups keeps."""
+    (choice, ell, pi) groups whose ``_canonical`` key no earlier group has.
+    Each encode gives the first outputs of about WALK_BLOCK_BYTES of groups
+    under every order; the keys and the members come from those rows."""
     entry = rule_entry(rule)
     pis = None if pis is None else [permutation(p, m, 1, "pi") for p in pis]
     ells = list(ells) if ells is not None else list(range(1, m + 1))
@@ -488,66 +488,63 @@ def _walk(rule, s, m, pis, ells, seed, guard, distinct):
         )
     pis = np.array(pis if pis is not None else list(itertools.permutations(range(1, m + 1))),
                    dtype=np.intp).reshape(-1, m)
+    if not len(pis):  # nothing to walk, and no orders to size a batch by
+        return
     pis.flags.writeable = False
     K, z = _phase_grid(m)
     length = (1 if seed is None else len(seed)) << m
-    order_bytes = 16 * length * len(K)
-    per_block = max(1, WALK_BLOCK_BYTES // order_bytes)
+    per_block = max(1, WALK_BLOCK_BYTES // (16 * length * len(K)))
+    per_encode = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
-    groups = [(step["ell"] if entry.phase_last else None,
-               entry.build(**choice, **step, s=s, m=m, pi=None, k=None, z=0, seed=seed))
+    # orange varies its step phase k[ell-1] last
+    step_rows = {ell: _phase_last(K, ell) for ell in ells} if entry.phase_last else {}
+    groups = [(entry.build(**choice, **step, s=s, m=m, pi=None, k=None, z=0, seed=seed),
+               step_rows[step["ell"]] if entry.phase_last else K)
               for choice in entry.choices(s) for step in steps]
-    kept = np.ones((len(groups), len(pis)), dtype=bool)
-    if distinct and kept.size:
-        kept = _first_groups([params for _, params in groups], pis, length)
-    # whole groups per encode while all their orders fit a block
-    per_encode = max(1, WALK_BLOCK_BYTES // (order_bytes * max(1, len(pis))))
-    for ell, run in itertools.groupby(zip(groups, kept), key=lambda cell: cell[0][0]):
-        rows = K
-        if ell is not None:  # orange varies its step phase k[ell-1] last
-            rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
-            rows.flags.writeable = False
-        run = [(params, mask) for (_, params), mask in run if mask.any()]
-        for first in range(0, len(run), per_encode):
-            batch, cells = zip(*run[first : first + per_encode])
-            cells = np.array(cells)
-            # the orders some group of the batch keeps; the cells of the
-            # other groups at those orders are encoded and dropped
-            used = cells.any(axis=0)
-            orders = pis if used.all() else pis[used]
-            cells = cells[:, used]
+    seen: set[bytes] = set()
+    for first in range(0, len(groups), per_encode):
+        batch = groups[first : first + per_encode]
+        base = encode_family([params for params, _ in batch], pis)
+        kept = np.ones((len(batch), len(pis)), dtype=bool)
+        if distinct:
+            for cell, key in enumerate(map(np.ndarray.tobytes, _canonical(_key_values(base), m))):
+                kept.flat[cell] = key not in seen
+                seen.add(key)
+        for (params, rows), r0, mine in zip(batch, np.split(base, len(batch)), kept):
+            orders, r0 = pis[mine], r0[mine]
             for lo in range(0, len(orders), per_block):
                 part = slice(lo, lo + per_block)
-                values = _members(encode_family(batch, orders[part]), orders[part], rows, z)
-                values.flags.writeable = False
-                for params, mine, block in zip(batch, cells[:, part], np.split(values, len(batch))):
-                    if mine.all():
-                        yield params, orders[part], rows, z, block
-                    elif mine.any():
-                        block = block.reshape(len(mine), -1, length)[mine].reshape(-1, length)
-                        yield params, orders[part][mine], rows, z, block
-                del values, block  # not held while the next block is encoded
+                block = _members(r0[part], orders[part], rows, z)
+                block.flags.writeable = False
+                yield params, orders[part], rows, z, block
+                del block  # not held while the next block is made
+
+
+def _phase_last(K: np.ndarray, ell: int) -> np.ndarray:
+    """The rows of K with their last column, the fastest, moved to step phase k[ell-1]."""
+    m = K.shape[1]
+    rows = K[:, [*range(ell - 1), m - 1, *range(ell - 1, m - 1)]]
+    rows.flags.writeable = False
+    return rows
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def _members(base: np.ndarray, pis: np.ndarray, K: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The members of each cell's group, from the cell's first output.
+    """The members of one group under each order, from their first outputs.
 
-    ``base`` (G * P, L) holds the first outputs of G gapless parameter sets
-    under the P orders ``pis``, as ``encode_family`` returns them.  Row
-    (g * P + p) * B + b of the result is the member with the phase steps
-    k + K[b] and the constant z[b]: base row g * P + p turned block by
-    block by j^(z[b] + sum K[b, n] b_n(x)), with the bits b_n of the order
-    pis[p].  Every rule has H = 4, so the turns are exact and no exponential
-    is taken again.
+    ``base`` (P, L) holds a gapless parameter set's first outputs under the
+    P orders ``pis``, as ``encode_family`` returns them.  Row p * B + b of
+    the result is the member with the phase steps k + K[b] and the constant
+    z[b]: base row p turned block by block by j^(z[b] + sum K[b, n] b_n(x)),
+    with the bits b_n of the order pis[p].  Every rule has H = 4, so the
+    turns are exact and no exponential is taken again.
     """
     m = pis.shape[1]
     # (P, B, 2^m): the quarter turn of each member's block x
     turns = _QUARTER_TURNS[(K @ np.swapaxes(_index_bits(m, pis), 1, 2) + z[:, None]) & 3]
-    blocks = base.reshape(-1, len(pis), 1, 1 << m, base.shape[1] >> m)
-    members = blocks * turns[..., None]
+    members = base.reshape(len(pis), 1, 1 << m, -1) * turns[..., None]
     members += 0.0  # no element is -0.0, as in encode_pair
     return members.reshape(-1, base.shape[1])
 
@@ -583,22 +580,6 @@ def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
     return keys
 
 
-def _first_groups(groups: list[EncoderParams], pis: np.ndarray, length: int) -> np.ndarray:
-    """(G, P) flags: whether the ``_canonical`` key of the (group, order)
-    cell (g, p) comes before any equal one in walk order.  The keys are
-    taken from ``encode_family`` calls over about WALK_BLOCK_BYTES of cells."""
-    m = groups[0].m
-    seen: set[bytes] = set()
-    kept = []
-    per_call = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
-    for first in range(0, len(groups), per_call):
-        rows = encode_family(groups[first : first + per_call], pis)
-        for key in map(np.ndarray.tobytes, _canonical(_key_values(rows), m)):
-            kept.append(key not in seen)
-            seen.add(key)
-    return np.reshape(kept, (len(groups), len(pis)))
-
-
 def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
     """First outputs of the walk, each distinct sequence once, in walk order.
 
@@ -607,19 +588,11 @@ def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> I
     row's.  Each (choice, ell, pi) group of the walk is 4^(m+1) distinct
     words, equal to or disjoint from every other group (``_canonical``), so
     the distinct rows are the rows of the groups whose key no earlier group
-    has: only those are encoded, and no row is stored.  ValueError when a
+    has: only their members are made, and no row is stored.  ValueError when a
     seed sequence is zero at 12 decimals.
     """
     for *_, values in _walk(rule, s, m, pis, ells, seed, guard, distinct=True):
         yield values
-
-
-def distinct_values(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
-    """``distinct_blocks`` one row at a time; each row is a copy, so a kept
-    row does not hold its block."""
-    for block in distinct_blocks(rule, s, m, pis, ells, seed, guard):
-        for row in block:
-            yield row.copy()
 
 
 def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:

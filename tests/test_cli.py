@@ -365,7 +365,10 @@ def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
     same = tmp_path / "same.json"
     record = {"values": {"re": [1.0, 1.0], "im": [0.0, 0.0]}}
     same.write_text(json.dumps([record, record]))
-    for path in (pair, same):
+    # and a single record, which is_gcp never sees
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(record))
+    for path in (pair, same, one):
         code, out, err = run_cli(capsys, "verify", str(path), "--tol", tol)
         assert code == 2
         assert out == ""
@@ -613,6 +616,19 @@ def test_written_papr_matches_the_direct_evaluation(tmp_path, capsys, n, pad):
                                "--oversample", "7")
         assert code == 0
         assert json.loads(out)["papr_db"] == pytest.approx(direct_papr_db(values, 7), rel=1e-12)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "str"])
+@pytest.mark.parametrize("path", [
+    ["--m", "2", "--H", "4"], ["--rule", "green", "--s", "1", "--m", "2", "--indices", "1,1"],
+])
+def test_seed_pair_must_be_an_object(tmp_path, capsys, doc, path):
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "encode", *path, "--seed-pair", str(seed_file))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "seed pair" in err
 
 
 @pytest.mark.parametrize("oversample", [4, 7, 16])

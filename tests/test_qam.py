@@ -24,8 +24,8 @@ from csforge.qam import (
     EnumerationLimitError,
     RuleSpec,
     count_sequences,
+    distinct_blocks,
     distinct_sequences,
-    distinct_values,
     enumerate_rule,
     is_qam_point,
     lattice_geometry,
@@ -304,7 +304,8 @@ def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
         assert _phases_agree(params.k_dprime + z, member.k_dprime)
         assert np.max(np.abs(row - expected)) <= 1e-12
         assert sequence_key(row) == sequence_key(expected)
-    keys = [sequence_key(v) for v in distinct_values(rule, s, m, pis=pis, seed=seed)]
+    distinct = np.concatenate(list(distinct_blocks(rule, s, m, pis=pis, seed=seed)))
+    keys = [sequence_key(v) for v in distinct]
     assert keys == reference_distinct_keys(rule, s, m, seed, pis)
 
 
@@ -331,7 +332,8 @@ def test_tensor_walk_matches_reference_walk(rule, s, m, pis, n_seed):
         assert np.max(np.abs(row - expected)) <= 1e-12
     # reference_distinct_keys of the same walk
     first_seen = dict.fromkeys(sequence_key(expected) for *_, expected in reference)
-    keys = [sequence_key(v) for v in distinct_values(rule, s, m, pis=pis, seed=seed)]
+    distinct = np.concatenate(list(distinct_blocks(rule, s, m, pis=pis, seed=seed)))
+    keys = [sequence_key(v) for v in distinct]
     assert keys == list(first_seen)
 
 
@@ -426,11 +428,6 @@ def test_two_halves_matches_recursion_oracle(monkeypatch):
                     assert _phases_agree(got.k, want.k)
                     assert _phases_agree(got.k_prime, want.k_prime)
                     assert _phases_agree(got.k_dprime, want.k_dprime)
-
-
-def test_distinct_rows_do_not_hold_their_block():
-    rows = list(distinct_values("green", 1, 2))
-    assert all(row.base is None for row in rows)
 
 
 _EXHAUSTIVE = (
@@ -547,41 +544,47 @@ def _cell(params, pi):
 @pytest.mark.parametrize("rule, s, m, n_seed", [
     ("green", 2, 3, 1), ("yellow", 2, 3, 1), ("blue", 2, 2, 1), ("cyan", 3, 2, 1),
     ("orange", 2, 3, 1), ("blue", 2, 2, 3), ("orange", 2, 2, 4),
+    # one order per block
+    ("yellow", 2, 4, 1),
 ])
 def test_distinct_walk_encodes_no_earlier_group(monkeypatch, rule, s, m, n_seed):
     seed = known_seed(n_seed)
-    # the oracle: the (choice, ell, pi) cells none of whose rows an earlier cell has
-    seen, first = set(), set()
+    # the oracle: every (choice, ell, pi) cell of the walk, and the cells
+    # none of whose rows an earlier cell has, in walk order
+    seen, cells, first = set(), [], []
     for params, orders, K, _, values in enumerate_rule(rule, s, m, seed=seed):
         for pi, rows in zip(orders, np.split(values, len(orders))):
             keys = {sequence_key(row) for row in rows}
+            cells.append(_cell(params, pi))
             if not keys & seen:
-                first.add(_cell(params, pi))
+                first.append(cells[-1])
             seen |= keys
-    stacks, keyed = [], []
-    first_groups = qam._first_groups
+    encoded, expanded = [], []
+    members = qam._members
 
-    def keys_spy(*args):
-        kept = first_groups(*args)
-        keyed.append(kept)  # every encode from here on is a walk encode
-        return kept
-
-    def spy(stack, pis=None):
-        if keyed:
-            stacks.append([[_cell(params, pi) for pi in pis] for params in stack])
+    def encode_spy(stack, pis=None):
+        encoded.extend(_cell(params, pi) for params in stack for pi in pis)
         return encode_family(stack, pis)
 
-    monkeypatch.setattr(qam, "_first_groups", keys_spy)
-    monkeypatch.setattr(qam, "encode_family", spy)
-    assert distinct_sequences(rule, s, m, seed=seed) == len(first) * 4 ** (m + 1)
-    encoded = [cell for stack in stacks for cells in stack for cell in cells]
-    assert len(keyed) == 1 and first <= set(encoded) and len(set(encoded)) == len(encoded)
-    for stack in stacks:
-        # every group of a stack keeps one of its orders, and every order is
-        # kept by one of its groups; a stack of one group encodes no other cell
-        assert all(set(cells) & first for cells in stack)
-        assert all(first & set(order) for order in zip(*stack))
-        assert len(stack) > 1 or set(stack[0]) <= first
+    def members_spy(base, pis, K, z):
+        expanded.append(len(base))
+        return members(base, pis, K, z)
+
+    monkeypatch.setattr(qam, "encode_family", encode_spy)
+    monkeypatch.setattr(qam, "_members", members_spy)
+    walk = qam._walk(rule, s, m, None, None, seed, None, distinct=True)
+    assert [_cell(params, pi) for params, orders, *_ in walk for pi in orders] == first
+    # each cell's first output is encoded once; only the first cells' are turned
+    assert encoded == cells
+    assert sum(expanded) == len(first)
+
+
+@pytest.mark.parametrize("rule, s", [("yellow", 2), ("cyan", 2)])
+@pytest.mark.parametrize("limits", [{"pis": []}, {"ells": []}])
+def test_walk_without_orders_or_steps_is_empty(rule, s, limits):
+    # cyan has no admissible choice at s = 2
+    assert list(enumerate_rule(rule, s, 2, **limits)) == []
+    assert distinct_sequences(rule, s, 2, **limits) == 0
 
 
 def test_distinct_walk_refuses_a_zero_seed_sequence():
@@ -592,7 +595,7 @@ def test_distinct_walk_refuses_a_zero_seed_sequence():
         distinct_sequences("green", 1, 2, seed=seed)
     assert "\n" not in str(info.value)
     with pytest.raises(ValueError, match="zero"):
-        next(distinct_values("yellow", 2, 2, seed=SeedPair([1, 0], [0, 0])))
+        next(distinct_blocks("yellow", 2, 2, seed=SeedPair([1, 0], [0, 0])))
 
 
 def test_walk_is_refused_before_its_orders_are_listed():

@@ -195,7 +195,7 @@ def test_pairwise_rate_needs_a_bit_per_word(bits):
 
 @pytest.mark.parametrize("rule", ["green", "yellow", "orange", "blue"])
 def test_decisions_match_the_difference_tensor_on_qam_codebooks(rule):
-    words = np.asarray(list(qam.distinct_values(rule, 2, 2)), dtype=complex)
+    words = np.concatenate(list(qam.distinct_blocks(rule, 2, 2)))
     ebn0 = [0.0, 2.0, 4.0, 6.0, math.inf]
     for seed in (1, 2):
         report = min_distance_sim(words, ebn0, trials=1000, rng_seed=seed)
@@ -248,7 +248,7 @@ PINNED_TRIALS = 2 * 4096 + 5
     ("blue", (0, 20552, 0, 6879, 0)),
 ])
 def test_detect_codebook_reports_are_pinned(rule, bit_errors):
-    words = np.asarray(list(qam.distinct_values(rule, 2, 2)), dtype=complex)
+    words = np.concatenate(list(qam.distinct_blocks(rule, 2, 2)))
     report = min_distance_sim(words, PINNED_GRID, trials=PINNED_TRIALS, rng_seed=1)
     assert report.bit_errors == bit_errors
 
