@@ -44,7 +44,7 @@ from .qam import (
     to_lattice,
 )
 from .recursion import construction_function, expand_recursion, operator_config
-from .sequences import ComplexSequence
+from .sequences import ComplexSequence, GuardError
 from .simulate import SimReport, min_distance_sim, pairwise_error_rate
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ __all__ = [
     "EncodedPair",
     "EncoderParams",
     "GcpCheck",
+    "GuardError",
     "PowerTrace",
     "RecursionParams",
     "RuleSpec",

@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import as_array, integral, pads, permutation
+from .sequences import GuardError, as_array, integral, pads, permutation
 
 __all__ = [
     "ApacProfile",
     "GcpCheck",
-    "GridLimitError",
     "MAX_GRID_POINTS",
     "PowerTrace",
     "apac",
@@ -39,10 +38,6 @@ GCP_TOL = 1e-9
 MAX_GRID_POINTS = 16 << 22
 
 
-class GridLimitError(RuntimeError):
-    """Raised when oversample * length exceeds ``MAX_GRID_POINTS``."""
-
-
 def _grid_points(oversample: int, n: int) -> int:
     """The size of the grid, checked before anything is allocated; oversample is an integer >= 4."""
     try:
@@ -52,7 +47,7 @@ def _grid_points(oversample: int, n: int) -> int:
     if factor < 4:
         raise ValueError(f"oversample must be an integer >= 4, got {oversample!r}")
     if factor * n > MAX_GRID_POINTS:
-        raise GridLimitError(
+        raise GuardError(
             f"oversampled grid of {factor} x {n} points exceeds the limit of {MAX_GRID_POINTS}"
         )
     return factor * n
@@ -199,11 +194,15 @@ def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:
     profile = apac(seq)
     n_grid = _grid_points(oversample, profile.n)
     peak = total = 0.0
-    for _, power in _phases(profile, n_grid):
-        peak = max(peak, float(power.max()))
-        total += float(power.sum())
+    # each power is at most n rho(0), but the grid's total, n_grid rho(0), can overflow
+    with np.errstate(over="ignore"):
+        for _, power in _phases(profile, n_grid):
+            peak = max(peak, float(power.max()))
+            total += float(power.sum())
     if total <= 0:
         raise ValueError("zero sequence has no power ratio")
+    if total == math.inf:
+        raise ValueError(f"the envelope's total power over {n_grid} grid points overflows")
     mean = total / n_grid
     return 10.0 * np.log10(peak / mean), PowerTrace(profile, oversample, peak, mean)
 

@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from . import qam
-from .analysis import GridLimitError, _check_tol, is_gcp, papr_bound_db, papr_oversampled_db
-from .encoder import EncoderParams, SeedPair, SequenceLengthError, encode_pair, known_seed
-from .sequences import ComplexSequence, integral
-from .simulate import MAX_CODEBOOK, CodebookLimitError, min_distance_sim
+from .analysis import _check_tol, is_gcp, papr_bound_db, papr_oversampled_db
+from .encoder import EncoderParams, SeedPair, encode_pair, known_seed
+from .sequences import ComplexSequence, GuardError, integral
+from .simulate import MAX_CODEBOOK, min_distance_sim
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,14 +36,6 @@ _SIM_MAX_VARS = 4
 # Most decimal digits of an integer in a report: Python writes no integer of
 # more than 4,300 digits as text
 MAX_REPORT_DIGITS = 4000
-
-
-class InputError(Exception):
-    pass
-
-
-class GuardError(Exception):
-    pass
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -67,16 +59,16 @@ def _complex_from_json(obj) -> np.ndarray:
         re = _real_array(obj["re"])
         im = _real_array(obj["im"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"bad complex array: {exc}") from exc
+        raise ValueError(f"bad complex array: {exc}") from exc
     if re.shape != im.shape:
-        raise InputError("re/im arrays differ in length")
+        raise ValueError("re/im arrays differ in length")
     values = re + 1j * im
     # the bound encode_pair checks: 2 * length * energy bounds every
     # autocorrelation sum and envelope power the metrology computes
     with np.errstate(over="ignore", invalid="ignore"):
         power = 2.0 * values.size * np.vdot(values, values).real
     if not np.isfinite(power):
-        raise InputError("complex array holds a non-finite value or its power overflows")
+        raise ValueError("complex array holds a non-finite value or its power overflows")
     return values
 
 
@@ -103,19 +95,19 @@ def params_from_dict(doc: dict) -> EncoderParams:
     try:
         knobs = {name: doc[name] for name in _PARAM_FIELDS if doc.get(name) is not None}
     except AttributeError as exc:
-        raise InputError(f"params must be a JSON object: {exc}") from exc
+        raise ValueError(f"params must be a JSON object: {exc}") from exc
     if "m" not in knobs or "H" not in knobs:
-        raise InputError("params need integer m and H")
+        raise ValueError("params need integer m and H")
     if "seed" in knobs:
         try:
             a, b = knobs["seed"]["a"], knobs["seed"]["b"]
         except (KeyError, TypeError) as exc:
-            raise InputError(f"params seed needs 'a' and 'b' arrays: {exc!r}") from exc
+            raise ValueError(f"params seed needs 'a' and 'b' arrays: {exc!r}") from exc
         knobs["seed"] = SeedPair(_complex_from_json(a), _complex_from_json(b))
     try:
         return EncoderParams(**knobs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(str(exc)) from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int = 16,
@@ -142,7 +134,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
@@ -181,7 +173,7 @@ def _writing(path: str):
     try:
         yield
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -202,14 +194,14 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(_integer(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}") from exc
+        raise ValueError(f"bad integer list {text!r}") from exc
 
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise InputError(f"bad number list {text!r}") from exc
+        raise ValueError(f"bad number list {text!r}") from exc
 
 
 _LIST_KNOBS = (("pi", _int_list), ("e", _float_list), ("k", _float_list), ("d", _int_list))
@@ -219,13 +211,15 @@ def _seed_from_args(args) -> SeedPair | None:
     if getattr(args, "seed_pair", None):
         doc = _load_json(args.seed_pair)
         if not isinstance(doc, dict):
-            raise InputError("seed pair must be a JSON object with 'a' and 'b' arrays")
+            raise ValueError("seed pair must be a JSON object with 'a' and 'b' arrays")
         try:
-            return SeedPair(_complex_from_json(doc["a"]), _complex_from_json(doc["b"]))
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad seed pair: {exc}") from exc
-    if getattr(args, "seed_trivial", False):
-        return known_seed(1)
+            a, b = _complex_from_json(doc["a"]), _complex_from_json(doc["b"])
+        except KeyError as exc:
+            raise ValueError(f"bad seed pair: {exc}") from exc
+        try:
+            return SeedPair(a, b)
+        except ValueError as exc:
+            raise ValueError(f"bad seed pair: {exc}") from exc
     return None
 
 
@@ -233,7 +227,7 @@ def _rule_spec_from_args(args) -> qam.RuleSpec:
     names = qam.rule_entry(args.rule).indices
     indices = _int_list(args.indices) if args.indices else ()
     if len(indices) != len(names):
-        raise InputError(f"{args.rule} rule needs --indices {','.join(names)}")
+        raise ValueError(f"{args.rule} rule needs --indices {','.join(names)}")
     return qam.RuleSpec(
         rule=args.rule,
         **dict(zip(names, indices)),
@@ -251,24 +245,18 @@ def _params_from_args(args) -> EncoderParams:
         return params_from_dict(doc)
     if args.rule:
         if not args.m:
-            raise InputError("--rule needs --m")
+            raise ValueError("--rule needs --m")
         if not args.s:
-            raise InputError("--rule needs --s")
+            raise ValueError("--rule needs --s")
         spec = _rule_spec_from_args(args)
         pi = _int_list(args.pi) if args.pi else None
-        try:
-            return qam.rule_params(spec, args.s, args.m, pi=pi, seed=_seed_from_args(args))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return qam.rule_params(spec, args.s, args.m, pi=pi, seed=_seed_from_args(args))
     if not args.m or not args.H:
-        raise InputError("need --params, --rule, or both --m and --H")
+        raise ValueError("need --params, --rule, or both --m and --H")
     knobs = {name: parse(text) for name, parse in _LIST_KNOBS if (text := getattr(args, name))}
     knobs.update((name, value) for name in ("e_prime", "k_prime", "k_dprime")
                  if (value := getattr(args, name)) is not None)
-    try:
-        return EncoderParams(args.m, args.H, seed=_seed_from_args(args), **knobs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return EncoderParams(args.m, args.H, seed=_seed_from_args(args), **knobs)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -295,10 +283,10 @@ def _records_from_file(path: str) -> list[dict]:
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list) or not doc:
-        raise InputError("expected a sequence record or a list of records")
+        raise ValueError("expected a sequence record or a list of records")
     for rec in doc:
         if not isinstance(rec, dict) or "values" not in rec:
-            raise InputError("record missing 'values'")
+            raise ValueError("record missing 'values'")
     return doc
 
 
@@ -337,7 +325,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.N < 1:
-        raise InputError(f"--N must be at least 1, got {args.N}")
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     n_class = "N=1" if args.N == 1 else "N>1"
     count = qam.count_sequences(args.rule, args.s, args.m, n_class)
     report = {
@@ -358,11 +346,11 @@ def cmd_enumerate(args) -> int:
             raise GuardError(f"{name} has more than {MAX_REPORT_DIGITS} digits")
     if args.dedup:
         if args.rule not in qam.RULES:
-            raise InputError("--dedup applies to a single rule")
+            raise ValueError("--dedup applies to a single rule")
         try:
             seed = known_seed(args.N)
         except ValueError as exc:
-            raise InputError(f"--dedup walks the stock seeds only, --N 1..4: {exc}") from exc
+            raise ValueError(f"--dedup walks the stock seeds only, --N 1..4: {exc}") from exc
         distinct = qam.distinct_sequences(args.rule, args.s, args.m, seed=seed)
         report["dedup"] = distinct
         report["dedup_matches_formula"] = distinct == count.count
@@ -373,7 +361,7 @@ def cmd_enumerate(args) -> int:
 def cmd_papr(args) -> int:
     records = _records_from_file(args.file)
     if not 0 <= args.index < len(records):
-        raise InputError(f"--index {args.index} out of range for {len(records)} records")
+        raise ValueError(f"--index {args.index} out of range for {len(records)} records")
     seq = ComplexSequence(_complex_from_json(records[args.index]["values"]))
     papr_db, trace = papr_oversampled_db(seq, args.oversample)
     report = {
@@ -403,30 +391,30 @@ def _codebook_from_args(args) -> np.ndarray:
                 entries = [rec.get("values", rec) for rec in doc]
             words = [_complex_from_json(e) for e in entries]
         except (KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"codebook file needs 'sequences' or a record list: {exc!r}") from exc
+            raise ValueError(f"codebook file needs 'sequences' or a record list: {exc!r}") from exc
         for index, word in enumerate(words):
             if len(word) != len(words[0]):
-                raise InputError(f"codebook words differ in length: word 0 has {len(words[0])} "
+                raise ValueError(f"codebook words differ in length: word 0 has {len(words[0])} "
                                  f"entries, word {index} has {len(word)}")
         return np.asarray(words, dtype=complex)
     if args.rule:
         if args.m is None or args.s is None:
-            raise InputError("--rule codebooks need --m and --s")
+            raise ValueError("--rule codebooks need --m and --s")
         if args.m < 1 or args.s < 1:
-            raise InputError("s and m must be positive")
+            raise ValueError("s and m must be positive")
         if args.m > _SIM_MAX_VARS:
             raise GuardError(f"simulation limited to m <= {_SIM_MAX_VARS}")
         if not qam.enumeration_size(args.rule, args.s, args.m):
             first = next(s for s in itertools.count(args.s + 1)
                          if qam.enumeration_size(args.rule, s, args.m))
-            raise InputError(f"{args.rule} has no admissible indices below s = {first}")
+            raise ValueError(f"{args.rule} has no admissible indices below s = {first}")
         blocks: list[np.ndarray] = []
         for block in qam.distinct_blocks(args.rule, args.s, args.m):
             blocks.append(block)
             if sum(map(len, blocks)) > MAX_CODEBOOK:
                 raise GuardError(f"codebook exceeds {MAX_CODEBOOK} sequences")
         return np.concatenate(blocks)
-    raise InputError("need --codebook or --rule")
+    raise ValueError("need --codebook or --rule")
 
 
 def cmd_simulate(args) -> int:
@@ -482,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-dprime", dest="k_dprime", type=float)
         p.add_argument("--d", help="zero-padding amounts")
         p.add_argument("--seed-pair", dest="seed_pair", help="JSON seed pair file")
-        p.add_argument("--seed-trivial", dest="seed_trivial", action="store_true",
-                       help="use the length-1 seed (1),(1)")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     enc = sub.add_parser("encode", help="synthesize a pair from parameters")
@@ -535,11 +521,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GuardError, qam.EnumerationLimitError, CodebookLimitError,
-            SequenceLengthError, GridLimitError) as exc:
+    except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -20,7 +20,9 @@ import numpy as np
 
 from .analysis import GCP_TOL, is_gcp
 from .boolean import BooleanPolynomial, xor_expand
-from .sequences import ComplexSequence, as_array, finite, finite_steps, integral, pads, permutation
+from .sequences import (
+    ComplexSequence, GuardError, as_array, finite, finite_steps, integral, pads, permutation,
+)
 
 __all__ = [
     "ComponentFunctions",
@@ -29,7 +31,6 @@ __all__ = [
     "MAX_SEQUENCE_LENGTH",
     "RecursionParams",
     "SeedPair",
-    "SequenceLengthError",
     "component_functions",
     "encode_family",
     "encode_pair",
@@ -42,10 +43,6 @@ MAX_ENCODE_VARS = 16
 
 # Longest pair the encoder builds: 4M elements, 64 MiB per complex output.
 MAX_SEQUENCE_LENGTH = 1 << 22
-
-
-class SequenceLengthError(RuntimeError):
-    """Raised when the requested pair exceeds ``MAX_SEQUENCE_LENGTH``."""
 
 
 class SeedPair:
@@ -110,6 +107,7 @@ def _modulus(value) -> int:
     H = integral(value, "H")
     if H <= 0 or H % 2 != 0:
         raise ValueError(f"H must be a positive even integer, got {value}")
+    finite(H, "H")  # phase steps are reduced mod H as floats
     return H
 
 
@@ -122,9 +120,7 @@ def _seed(seed) -> SeedPair:
 def _check_length(seed: SeedPair, m: int, pads: tuple[int, ...]) -> None:
     length = len(seed) * (1 << m) + sum(pads)
     if length > MAX_SEQUENCE_LENGTH:
-        raise SequenceLengthError(
-            f"pair length {length} exceeds the limit of {MAX_SEQUENCE_LENGTH}"
-        )
+        raise GuardError(f"pair length {length} exceeds the limit of {MAX_SEQUENCE_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,10 @@ def _tables(ps: list[EncoderParams], pis: np.ndarray) -> _Tables:
 def _coefficients(H: int, amp, phase) -> np.ndarray:
     """exp(w amp + j w (phase mod H)) with w = 2 pi / H, elementwise."""
     w = 2.0 * math.pi / H
-    return np.exp(w * amp + 1j * w * np.mod(phase, H))
+    # the power check bounds amp above, so w * amp overflows only to -inf,
+    # where the coefficient is 0 either way
+    with np.errstate(over="ignore"):
+        return np.exp(w * amp + 1j * w * np.mod(phase, H))
 
 
 def _place(t: _Tables, coef, out) -> None:

@@ -35,11 +35,10 @@ from .encoder import (  # noqa: F401
     MAX_ENCODE_VARS, EncoderParams, SeedPair, _index_bits, encode_family, encode_pair,
     recursion_to_encoder,
 )
-from .sequences import finite, finite_steps, permutation
+from .sequences import GuardError, finite, finite_steps, permutation
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
-    "EnumerationLimitError",
     "Geometry",
     "MAX_COUNT_VARS",
     "RULES",
@@ -85,10 +84,6 @@ WALK_BLOCK_BYTES = 1 << 17
 MAX_COUNT_VARS = 1000
 
 QAM_POINT_TOL = 1e-6
-
-
-class EnumerationLimitError(RuntimeError):
-    """Raised when an exhaustive walk would exceed the size guard."""
 
 
 class Geometry(NamedTuple):
@@ -393,7 +388,7 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
     if m > MAX_COUNT_VARS:
-        raise EnumerationLimitError(f"family counts limited to m <= {MAX_COUNT_VARS}")
+        raise GuardError(f"family counts limited to m <= {MAX_COUNT_VARS}")
     single = n_class == "N=1"
     unit, unit_count = _unit_value(m, n_class)
     span = (m + 1) if single else m
@@ -425,12 +420,12 @@ def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     Per admissible choice: every step choice (rules without one have a
     single), every order, 4^m step phases and one free constant.  The
     choices are counted without listing them: there are as many as the
-    family has units at m = 1 over a span of one.  EnumerationLimitError
-    above MAX_COUNT_VARS, as for the counts.
+    family has units at m = 1 over a span of one.  GuardError above
+    MAX_COUNT_VARS, as for the counts.
     """
     entry = rule_entry(rule)
     if m > MAX_COUNT_VARS:
-        raise EnumerationLimitError(f"walks limited to m <= {MAX_COUNT_VARS}")
+        raise GuardError(f"walks limited to m <= {MAX_COUNT_VARS}")
     n_pis = n_pis if n_pis is not None else math.factorial(m)
     n_ells = (n_ells if n_ells is not None else m) if entry.has_ell else 1
     n_choices = entry.units(s, 1, 1) if s >= 1 else 0
@@ -465,8 +460,8 @@ def enumerate_rule(
     WALK_BLOCK_BYTES (at least one order per block); rows in the order pi,
     k (lexicographic, orange's k[ell-1] last), then z.
 
-    Raises EnumerationLimitError before any encode when the raw combination
-    count exceeds the guard (DEFAULT_ENUM_GUARD when None).
+    Raises GuardError before any encode when the raw combination count
+    exceeds the guard (DEFAULT_ENUM_GUARD when None).
     """
     yield from _walk(rule, s, m, pis, ells, seed, guard, distinct=False)
 
@@ -483,13 +478,13 @@ def _walk(rule, s, m, pis, ells, seed, guard, distinct):
     size = enumeration_size(rule, s, m, None if pis is None else len(pis), len(ells))
     limit = DEFAULT_ENUM_GUARD if guard is None else int(guard)
     if size > limit:
-        raise EnumerationLimitError(
+        raise GuardError(
             f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
         )
+    if not size:  # no choice, step or order to walk: list no orders
+        return
     pis = np.array(pis if pis is not None else list(itertools.permutations(range(1, m + 1))),
                    dtype=np.intp).reshape(-1, m)
-    if not len(pis):  # nothing to walk, and no orders to size a batch by
-        return
     pis.flags.writeable = False
     K, z = _phase_grid(m)
     length = (1 if seed is None else len(seed)) << m

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ComplexSequence",
+    "GuardError",
     "as_array",
     "finite",
     "finite_steps",
@@ -27,6 +28,10 @@ __all__ = [
     "pads",
     "permutation",
 ]
+
+
+class GuardError(RuntimeError):
+    """A job beyond a resource guard: a grid, pair, walk or codebook too large to build."""
 
 
 class ComplexSequence:

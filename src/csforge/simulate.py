@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import as_array
+from .sequences import GuardError, as_array
 
 __all__ = [
     "MAX_CODEBOOK",
@@ -34,10 +34,6 @@ _TILE_BYTES = 1 << 19
 # codebook too large for this many rows of all M scores is split into column
 # tiles of _TILE_BYTES // (8 * _TILE_MIN_ROWS) words
 _TILE_MIN_ROWS = 64
-
-
-class CodebookLimitError(RuntimeError):
-    """Raised when a codebook exceeds the desk-scale guard."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def _prepare_codebook(codebook) -> tuple[np.ndarray, np.ndarray]:
     if words.ndim != 2 or len(words) < 2:
         raise ValueError("codebook must hold at least two equal-length sequences")
     if len(words) > MAX_CODEBOOK:
-        raise CodebookLimitError(f"codebook of {len(words)} exceeds {MAX_CODEBOOK}")
+        raise GuardError(f"codebook of {len(words)} exceeds {MAX_CODEBOOK}")
     if not words.shape[1]:
         raise ValueError("codebook words must not be empty")
     used = words[: 1 << (len(words).bit_length() - 1)]

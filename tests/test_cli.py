@@ -1,11 +1,14 @@
+import ast
+import builtins
 import json
 import math
+import pathlib
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
 from hypothesis import strategies as st
 
 from csforge import cli, qam
@@ -60,7 +63,8 @@ def test_encode_from_params_file(tmp_path, capsys):
 
 
 def test_encode_trivial_flags(capsys):
-    code, out, _ = run_cli(capsys, "encode", "--m", "1", "--H", "2", "--seed-trivial")
+    # the length-1 seed (1),(1) is the default
+    code, out, _ = run_cli(capsys, "encode", "--m", "1", "--H", "2")
     assert code == 0
     records = json.loads(out)
     assert np.allclose(values_of(records[0]), [1, 1])
@@ -152,6 +156,9 @@ def test_integer_lists_refuse_fractions(capsys, flag, value):
     (["--d", "1000000000,0"], 3),
     (["--e-prime", "-1e3"], 2),
     (["--e-prime", "-inf"], 2),
+    # H beyond float range escaped as an OverflowError traceback
+    (["--H", BEYOND_FLOAT], 2),
+    (["--H", str(2**1024)], 2),
 ])
 def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, "encode", "--m", "2", "--H", "4", *argv)
@@ -173,6 +180,8 @@ def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     {"H": 4.5},
     {"pi": [1.7, 2, 3]},
     {"d": [0.9, 0, 0]},
+    {"H": 10**400},
+    {"H": 2**1024},
 ])
 def test_malformed_params_file_exits_2(tmp_path, capsys, change):
     doc = multilevel_doc()
@@ -234,6 +243,7 @@ def test_negative_scientific_values_are_values(capsys):
     ["encode", "--m", "2", "--H", "4", "--e-prime"],
     ["verify"],
     ["simulate", "--rule", "purple", "--ebn0", "0"],
+    ["encode", "--m", "1", "--H", "2", "--seed-trivial"],
 ])
 def test_usage_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -242,6 +252,25 @@ def test_usage_errors_are_one_line(capsys, argv):
     assert exc.value.code == 2
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("csforge") and ": error: " in out.err
+
+
+def _names_an_exception(base: ast.expr) -> bool:
+    name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+    builtin = getattr(builtins, name, None)
+    return ((isinstance(builtin, type) and issubclass(builtin, BaseException))
+            or name.endswith(("Error", "Exception", "Warning")))
+
+
+def test_guard_error_is_the_only_exception_class():
+    # cli.main maps GuardError to exit 3 and ValueError to exit 2; a class of
+    # any other name would escape it as a traceback
+    defined = [
+        (path.stem, node.name)
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and any(map(_names_an_exception, node.bases))
+    ]
+    assert defined == [("sequences", "GuardError")]
 
 
 def test_parser_is_built_once():
@@ -553,6 +582,16 @@ def test_enumerate_dedup_refuses_many_orders_at_once(capsys):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "guard" in err
+
+
+def test_enumerate_dedup_without_choices_lists_no_orders(capsys):
+    # cyan has no choice below s = 3; the walk listed all 30! orders first
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enumerate", "--rule", "cyan", "--s", "2", "--m", "30",
+                           "--dedup")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["dedup"] == 0
 
 
 @pytest.mark.parametrize("command", ["encode", "verify", "papr"])
@@ -886,11 +925,56 @@ def _no_constants(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def checked_run(capsys, argv, codes=(0, 2, 3)):
+    """Run the CLI and check the exit contract: an exit code in ``codes``, no
+    traceback, at most one stderr line counting numpy's warnings (each would
+    print its own lines), and strict JSON on stdout on exit 0."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, such as --sign=2
+            code = exc.code
+    out, err = capsys.readouterr()
+    if currently_in_test_context():
+        event(f"exit {code}")
+    assert code in codes, (code, err)
+    assert "Traceback" not in err
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.count("\n") + len(numeric) <= 1, (err, numeric)
+    if code == 0:
+        json.loads(out, parse_constant=_no_constants)
+    return code, out, err
+
+
+HUGE_GRID_RECORD = {"values": {"re": [0, 1e-200, 0.5], "im": [1e150, 3e153, 2]}}
+
+
+@pytest.mark.parametrize("argv, code", [
+    # w * e overflows to -inf in a block whose coefficient is 0 anyway
+    (["encode", "--params", {"m": 1, "H": 2, "e": [-1e308], "e_prime": 16}], 0),
+    # every envelope power is finite, but their total over the grid is not
+    (["encode", "--m", "1", "--H", "4", "--e-prime", "225"], 2),
+    (["papr", HUGE_GRID_RECORD], 2),
+    (["verify", HUGE_GRID_RECORD], 2),
+])
+def test_overflows_print_no_numpy_warnings(tmp_path, capsys, argv, code):
+    # each printed two RuntimeWarnings; the refusals then failed to write inf as JSON
+    argv = [write_params(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    _, out, err = checked_run(capsys, argv, (code,))
+    if code == 0:
+        assert err == ""
+        assert json.loads(out)[0]["values"]["re"] == [pytest.approx(6.76e21, rel=1e-3), 0.0]
+    else:
+        assert out == "" and "overflows" in err
+
+
 MODERATE = st.floats(-50.0, 50.0)
 KNOB = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-500.0, 500.0),
-    st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, -1e308]),
 )
 
 
@@ -907,7 +991,8 @@ def test_encode_knob_fuzz(capsys, data):
     pad = st.one_of(st.integers(0, 3), st.just(-1), st.integers(MAX_SEQUENCE_LENGTH, 10**12))
     pads = st.one_of(st.lists(st.integers(0, 3), min_size=m, max_size=m),
                      st.lists(pad, min_size=m, max_size=m))
-    H = st.one_of(st.sampled_from([2, 4, 8]), st.integers(-8, 10**6))
+    H = st.one_of(st.sampled_from([2, 4, 8]), st.integers(-8, 10**6),
+                  st.sampled_from([10**400, 2**1024]))
     argv = [
         "encode", f"--m={m}",
         f"--H={data.draw(H, label='H')}",
@@ -918,19 +1003,9 @@ def test_encode_knob_fuzz(capsys, data):
     ]
     for flag in ("--e-prime", "--k-prime", "--k-dprime"):
         argv.append(f"{flag}={data.draw(knob, label=flag)!r}")
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, *argv)
-    event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err
-    # each numpy warning would print its own lines on stderr
-    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert err.count("\n") + len(numeric) <= 1, (err, numeric)
+    code, out, _ = checked_run(capsys, argv)
     if code == 0:
-        records = json.loads(out, parse_constant=_no_constants)
-        assert [r["id"] for r in records] == ["c", "d"]
+        assert [r["id"] for r in json.loads(out)] == ["c", "d"]
 
 
 # an index, lattice size, step or constant: in range, zero, negative, or an
@@ -973,18 +1048,81 @@ def test_encode_rule_fuzz(capsys, data):
         if data.draw(st.booleans(), label=f"{flag} given"):
             value = draw(flag, good, bad)
             argv.append(f"{flag}={','.join(map(str, value)) if isinstance(value, list) else value}")
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # a usage error, such as --sign=2
-            code = exc.code
-    out, err = capsys.readouterr()
-    event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err
-    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert err.count("\n") + len(numeric) <= 1, (err, numeric)
+    code, out, _ = checked_run(capsys, argv)
     if code == 0:
-        assert [r["id"] for r in json.loads(out, parse_constant=_no_constants)] == ["c", "d"]
+        assert [r["id"] for r in json.loads(out)] == ["c", "d"]
+
+
+# a value beyond any knob's range: an integer no float holds, a float near the
+# largest, a wrong JSON type, or null (the knob's default)
+PARAM_BAD = st.one_of(
+    st.sampled_from([10**400, -(10**400), 2**1024, 1e308, -1e308, 1.7e308, -1.7e308]),
+    st.sampled_from(["4", True, [1], {"a": 1}, []]),
+    st.none(),
+)
+SEEDS = [known_seed(1), known_seed(2)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_params_file_fuzz(tmp_path, capsys, data):
+    m = data.draw(st.integers(1, 4), label="m")
+    # half the draws keep every knob in range, so that exit 0 is common too
+    wide = data.draw(st.booleans(), label="out of range")
+
+    def knob(label, good, entry=None):
+        if entry is not None:  # a list knob: a bad entry, or a bad value for the whole list
+            good = st.one_of(good, st.lists(st.one_of(entry, PARAM_BAD), min_size=m, max_size=m))
+        return data.draw(st.one_of(good, PARAM_BAD) if wide else good, label=label)
+
+    moderate = st.lists(MODERATE, min_size=m, max_size=m)
+    seed = data.draw(st.sampled_from(SEEDS), label="seed")
+    doc = {
+        "m": knob("m", st.just(m)),
+        "H": knob("H", st.sampled_from([2, 4, 8])),
+        "pi": knob("pi", st.permutations(range(1, m + 1)), st.integers(1, m)),
+        "e": knob("e", moderate, MODERATE),
+        "e_prime": knob("e_prime", MODERATE),
+        "k": knob("k", moderate, MODERATE),
+        "k_prime": knob("k_prime", MODERATE),
+        "k_dprime": knob("k_dprime", MODERATE),
+        "d": knob("d", st.lists(st.integers(0, 3), min_size=m, max_size=m), st.integers(0, 3)),
+        "seed": knob("seed", st.just({"a": cli._complex_to_json(seed.a.values),
+                                      "b": cli._complex_to_json(seed.b.values)})),
+    }
+    path = write_params(tmp_path, doc)
+    code, out, _ = checked_run(capsys, ["encode", "--params", path])
+    if code == 0:
+        assert [r["id"] for r in json.loads(out)] == ["c", "d"]
+
+
+# a record entry: zero, a number from 1e-200 to 1e154 of either sign, or a wrong type
+RECORD_VALUE = st.one_of(
+    st.just(0),
+    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([1, -1]),
+              st.floats(-200.0, 154.0)),
+    st.sampled_from(["1", True, None, [1]]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_record_fuzz(tmp_path, capsys, data):
+    length = data.draw(st.integers(1, 4), label="length")
+    parts = st.lists(RECORD_VALUE, min_size=length, max_size=length)
+    # now and then the imaginary parts have a length of their own
+    im = st.one_of(parts, st.lists(RECORD_VALUE, min_size=1, max_size=4))
+    values = data.draw(st.lists(st.fixed_dictionaries({"re": parts, "im": im}),
+                                min_size=1, max_size=3), label="records")
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps([{"values": v} for v in values]))
+    codebook = tmp_path / "codebook.json"
+    codebook.write_text(json.dumps({"sequences": values}))
+    # verify exits 1 when two records are no complementary pair
+    checked_run(capsys, ["verify", str(records)], (0, 1, 2, 3) if len(values) == 2 else (0, 2, 3))
+    checked_run(capsys, ["papr", str(records)])
+    # finite points only: the noiseless point +inf is written as Infinity
+    checked_run(capsys, ["simulate", "--codebook", str(codebook), "--ebn0", "0,20",
+                         "--trials", "4"])

@@ -12,6 +12,7 @@ from _factories import (
 )
 from csforge import (
     EncoderParams,
+    GuardError,
     RecursionParams,
     SeedPair,
     component_functions,
@@ -25,7 +26,7 @@ from csforge import (
     run_recursion,
     shifts_avoid_overlap,
 )
-from csforge.encoder import MAX_SEQUENCE_LENGTH, SequenceLengthError
+from csforge.encoder import MAX_SEQUENCE_LENGTH
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -362,8 +363,8 @@ def test_family_rejects_bad_orders(pis):
 
 
 def test_length_guard():
-    with pytest.raises(SequenceLengthError):
+    with pytest.raises(GuardError):
         EncoderParams(m=2, H=4, d=(10**9, 0))
-    with pytest.raises(SequenceLengthError):
+    with pytest.raises(GuardError):
         RecursionParams(H=4, psi=(0, 1), shifts=(0, MAX_SEQUENCE_LENGTH))
     EncoderParams(m=2, H=4, d=(MAX_SEQUENCE_LENGTH - 4, 0))  # exactly at the limit

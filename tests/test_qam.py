@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _factories import reference_distinct_keys, reference_distinct_rows, reference_walk
 from csforge import (
+    GuardError,
     RecursionParams,
     SeedPair,
     encode_family,
@@ -21,7 +22,6 @@ from csforge import (
     recursion_to_encoder,
 )
 from csforge.qam import (
-    EnumerationLimitError,
     RuleSpec,
     count_sequences,
     distinct_blocks,
@@ -243,11 +243,11 @@ def test_single_variable_counts_undercount():
 
 
 def test_enumeration_guard(monkeypatch):
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(GuardError):
         list(enumerate_rule("green", 1, 2, guard=10))
     # the default is read when the walk starts
     monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 10)
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(GuardError):
         list(enumerate_rule("green", 1, 2))
     monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 1000)
     assert distinct_sequences("green", 1, 2) == 64
@@ -602,15 +602,27 @@ def test_walk_is_refused_before_its_orders_are_listed():
     # green s=1 m=9 has 9! orders; listing them before the refusal held 77.5 MiB
     tracemalloc.start()
     try:
-        with pytest.raises(EnumerationLimitError, match="guard"):
+        with pytest.raises(GuardError, match="guard"):
             distinct_sequences("green", 1, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
     # the exact count of m = 10^4 has more digits than Python writes out
-    with pytest.raises(EnumerationLimitError, match=str(qam.MAX_COUNT_VARS)):
+    with pytest.raises(GuardError, match=str(qam.MAX_COUNT_VARS)):
         distinct_sequences("green", 1, 10**4)
+
+
+@pytest.mark.parametrize("rule, s", [("cyan", 2), ("yellow", 1), ("blue", 1), ("orange", 1)])
+def test_walk_without_choices_lists_no_orders(rule, s):
+    # no admissible choice at this s: the walk listed all 9! orders (26 MB) to yield nothing
+    tracemalloc.start()
+    try:
+        assert distinct_sequences(rule, s, 9) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_distinct_walk_peak_does_not_grow_with_the_walk():

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csforge import qam, simulate
+from csforge import GuardError, qam, simulate
 from csforge.simulate import (
     MAX_CODEBOOK,
-    CodebookLimitError,
     min_distance_sim,
     pairwise_error_rate,
 )
@@ -74,7 +73,7 @@ def test_codebook_validation():
     with pytest.raises(ValueError):
         min_distance_sim([(1, 1)], [0.0], trials=10, rng_seed=0)
     big = np.ones((MAX_CODEBOOK + 1, 1), dtype=complex)
-    with pytest.raises(CodebookLimitError):
+    with pytest.raises(GuardError):
         min_distance_sim(big, [0.0], trials=1, rng_seed=0)
 
 
