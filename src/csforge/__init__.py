@@ -14,7 +14,6 @@ from .analysis import (
     is_gcp,
     papr_bound_db,
     papr_oversampled_db,
-    power_from_apac,
     shifts_avoid_overlap,
 )
 from .boolean import BooleanPolynomial, bits_to_index, index_to_bits, xor_expand
@@ -85,7 +84,6 @@ __all__ = [
     "pairwise_error_rate",
     "papr_bound_db",
     "papr_oversampled_db",
-    "power_from_apac",
     "recursion_to_encoder",
     "rule_params",
     "run_recursion",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import GuardError, as_array, integral, pads, permutation
+from .sequences import GuardError, as_array, integral, pads, permutation, tolerance
 
 __all__ = [
     "ApacProfile",
@@ -26,7 +26,6 @@ __all__ = [
     "is_gcp",
     "papr_bound_db",
     "papr_oversampled_db",
-    "power_from_apac",
     "shifts_avoid_overlap",
 ]
 
@@ -46,11 +45,12 @@ def _grid_points(oversample: int, n: int) -> int:
         factor = 0
     if factor < 4:
         raise ValueError(f"oversample must be an integer >= 4, got {oversample!r}")
-    if factor * n > MAX_GRID_POINTS:
-        raise GuardError(
-            f"oversampled grid of {factor} x {n} points exceeds the limit of {MAX_GRID_POINTS}"
-        )
-    return factor * n
+    points = factor * n
+    if points > MAX_GRID_POINTS:
+        # the oversample can have more digits than Python writes out: give the grid's size
+        raise GuardError(f"oversampled grid of at least 2^{points.bit_length() - 1} points "
+                         f"exceeds the limit of {MAX_GRID_POINTS}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,13 @@ class GcpCheck:
         return self.violation / self.energy if self.energy > 0 else float("inf")
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
 def is_gcp(a, b, tol: float = GCP_TOL) -> GcpCheck:
     """Check that the off-peak autocorrelations of a and b cancel.
 
     Passes when max_{k!=0} |rho_a(k) + rho_b(k)| <= tol * (rho_a(0) + rho_b(0));
     ValueError unless tol is finite and >= 0.
     """
-    _check_tol(tol)
+    tol = tolerance(tol)
     a = as_array(a)
     b = as_array(b)
     if len(a) != len(b):
@@ -163,7 +158,13 @@ class PowerTrace:
 
     @functools.cached_property
     def power(self) -> np.ndarray:
-        return power_from_apac(self.profile, self.oversample)
+        """|sum_i a_i e^(j 2 pi i t/T)|^2 = sum_k rho(k) e^(j 2 pi k t/T), the
+        spectral identity the complementarity bound rests on, at t = i T / G."""
+        n_grid = _grid_points(self.oversample, self.profile.n)
+        power = np.empty(n_grid)
+        for where, phase in _phases(self.profile, n_grid):
+            power[where] = phase
+        return power
 
     @property
     def t_norm(self) -> np.ndarray:
@@ -205,20 +206,6 @@ def papr_oversampled_db(seq, oversample: int = 16) -> tuple[float, PowerTrace]:
         raise ValueError(f"the envelope's total power over {n_grid} grid points overflows")
     mean = total / n_grid
     return 10.0 * np.log10(peak / mean), PowerTrace(profile, oversample, peak, mean)
-
-
-def power_from_apac(profile: ApacProfile, oversample: int = 16) -> np.ndarray:
-    """Envelope power at t = i T / G, G = oversample * n >= 4 n, from the autocorrelation.
-
-    |sum_i a_i e^(j 2 pi i t/T)|^2 = sum_k rho(k) e^(j 2 pi k t/T) is the spectral
-    identity the complementarity bound rests on.  The grid is assembled from
-    the same interleaved phases that ``papr_oversampled_db`` reduces.
-    """
-    n_grid = _grid_points(oversample, profile.n)
-    power = np.empty(n_grid)
-    for where, phase in _phases(profile, n_grid):
-        power[where] = phase
-    return power
 
 
 # Fewest points a phase of the envelope grid is cut to: 512 KiB of float64

@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import qam
-from .analysis import _check_tol, is_gcp, papr_bound_db, papr_oversampled_db
+from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, encode_pair, known_seed
-from .sequences import ComplexSequence, GuardError, integral
+from .sequences import ComplexSequence, GuardError, integral, tolerance
 from .simulate import MAX_CODEBOOK, min_distance_sim
 
 EXIT_OK = 0
@@ -291,7 +291,7 @@ def _records_from_file(path: str) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    _check_tol(args.tol)  # also when a single record never reaches is_gcp
+    tolerance(args.tol)  # also when a single record never reaches is_gcp
     records = _records_from_file(args.file)
     ids = [rec.get("id") for rec in records]
     seqs = [ComplexSequence(_complex_from_json(rec["values"])) for rec in records]

@@ -120,7 +120,9 @@ def _seed(seed) -> SeedPair:
 def _check_length(seed: SeedPair, m: int, pads: tuple[int, ...]) -> None:
     length = len(seed) * (1 << m) + sum(pads)
     if length > MAX_SEQUENCE_LENGTH:
-        raise GuardError(f"pair length {length} exceeds the limit of {MAX_SEQUENCE_LENGTH}")
+        # the length can have more digits than Python writes out: give its size
+        raise GuardError(f"pair length of at least 2^{length.bit_length() - 1} elements "
+                         f"exceeds the limit of {MAX_SEQUENCE_LENGTH}")
 
 
 @dataclass(frozen=True)

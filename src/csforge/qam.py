@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .encoder import (  # noqa: F401
     MAX_ENCODE_VARS, EncoderParams, SeedPair, _index_bits, encode_family, encode_pair,
     recursion_to_encoder,
 )
-from .sequences import GuardError, finite, finite_steps, permutation
+from .sequences import GuardError, finite, finite_steps, tolerance
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
@@ -71,6 +71,7 @@ RULE_MODULUS = 4  # all five rules live on quaternary phases
 # exponent units per radian and per neper when H = 4
 _SCALE = 4.0 / (2.0 * math.pi)
 
+# Most combinations the exhaustive walk visits
 DEFAULT_ENUM_GUARD = 10_000_000
 
 # About how many bytes of first outputs one encode of the walk writes (one
@@ -118,6 +119,7 @@ def is_qam_point(value: complex, s: int, tol: float = QAM_POINT_TOL) -> bool:
     """Whether a complex value sits on the 4s^2 lattice within ``tol``."""
     if s < 1:
         raise ValueError("s must be a positive integer")
+    tol = tolerance(tol)
 
     def nearest_odd(x: float) -> float:
         return 2.0 * round((x - 1.0) / 2.0) + 1.0
@@ -136,6 +138,7 @@ def to_lattice(values) -> np.ndarray:
 
 def on_lattice(values, s: int, tol: float = QAM_POINT_TOL) -> bool:
     """Whether every nonzero element, mapped to lattice coordinates, is a point."""
+    tol = tolerance(tol)  # also when no element is nonzero
     mapped = to_lattice(values)
     return all(is_qam_point(complex(v), s, tol) for v in mapped if v != 0)
 
@@ -414,7 +417,7 @@ def sequence_key(values) -> bytes:
     return _key_values(values).tobytes()
 
 
-def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
+def enumeration_size(rule, s, m) -> int:
     """Raw combination count the exhaustive walk would visit.
 
     Per admissible choice: every step choice (rules without one have a
@@ -426,10 +429,9 @@ def enumeration_size(rule, s, m, n_pis=None, n_ells=None) -> int:
     entry = rule_entry(rule)
     if m > MAX_COUNT_VARS:
         raise GuardError(f"walks limited to m <= {MAX_COUNT_VARS}")
-    n_pis = n_pis if n_pis is not None else math.factorial(m)
-    n_ells = (n_ells if n_ells is not None else m) if entry.has_ell else 1
     n_choices = entry.units(s, 1, 1) if s >= 1 else 0
-    return n_choices * n_ells * n_pis * 4 ** (m + 1)
+    n_ells = m if entry.has_ell else 1
+    return n_choices * n_ells * math.factorial(m) * 4 ** (m + 1)
 
 
 def _phase_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,13 +443,7 @@ def _phase_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_rule(
-    rule: str,
-    s: int,
-    m: int,
-    pis: Iterable[Sequence[int]] | None = None,
-    ells: Iterable[int] | None = None,
-    seed: SeedPair | None = None,
-    guard: int | None = None,
+    rule: str, s: int, m: int, *, seed: SeedPair | None = None
 ) -> Iterator[tuple[EncoderParams, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Walk every admitted parameter combination in lexicographic order.
 
@@ -461,35 +457,32 @@ def enumerate_rule(
     k (lexicographic, orange's k[ell-1] last), then z.
 
     Raises GuardError before any encode when the raw combination count
-    exceeds the guard (DEFAULT_ENUM_GUARD when None).
+    exceeds DEFAULT_ENUM_GUARD.
     """
-    yield from _walk(rule, s, m, pis, ells, seed, guard, distinct=False)
+    yield from _walk(rule, s, m, seed, distinct=False)
 
 
-def _walk(rule, s, m, pis, ells, seed, guard, distinct):
+def _walk(rule, s, m, seed, distinct):
     """``enumerate_rule``'s blocks; when ``distinct``, only the rows of the
     (choice, ell, pi) groups whose ``_canonical`` key no earlier group has.
     Each encode gives the first outputs of about WALK_BLOCK_BYTES of groups
     under every order; the keys and the members come from those rows."""
     entry = rule_entry(rule)
-    pis = None if pis is None else [permutation(p, m, 1, "pi") for p in pis]
-    ells = list(ells) if ells is not None else list(range(1, m + 1))
-    # checked before the m! orders are listed
-    size = enumeration_size(rule, s, m, None if pis is None else len(pis), len(ells))
-    limit = DEFAULT_ENUM_GUARD if guard is None else int(guard)
-    if size > limit:
-        raise GuardError(
-            f"{rule} enumeration at s={s}, m={m} needs {size} combinations, guard is {limit}"
-        )
-    if not size:  # no choice, step or order to walk: list no orders
+    # checked before the m! orders are listed; the count can have more
+    # digits than Python writes out, so the message gives its size
+    size = enumeration_size(rule, s, m)
+    if size > DEFAULT_ENUM_GUARD:
+        raise GuardError(f"{rule} enumeration at m={m} needs at least "
+                         f"2^{size.bit_length() - 1} combinations, guard is {DEFAULT_ENUM_GUARD}")
+    if not size:  # no admissible choice: list no orders
         return
-    pis = np.array(pis if pis is not None else list(itertools.permutations(range(1, m + 1))),
-                   dtype=np.intp).reshape(-1, m)
+    pis = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.intp)
     pis.flags.writeable = False
     K, z = _phase_grid(m)
     length = (1 if seed is None else len(seed)) << m
     per_block = max(1, WALK_BLOCK_BYTES // (16 * length * len(K)))
     per_encode = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
+    ells = range(1, m + 1)
     steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
     # orange varies its step phase k[ell-1] last
     step_rows = {ell: _phase_last(K, ell) for ell in ells} if entry.phase_last else {}
@@ -575,7 +568,7 @@ def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
     return keys
 
 
-def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> Iterator[np.ndarray]:
+def distinct_blocks(rule, s, m, *, seed=None) -> Iterator[np.ndarray]:
     """First outputs of the walk, each distinct sequence once, in walk order.
 
     Yields (n, L) arrays of rows, those of ``enumerate_rule``; a row is
@@ -586,10 +579,10 @@ def distinct_blocks(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> I
     has: only their members are made, and no row is stored.  ValueError when a
     seed sequence is zero at 12 decimals.
     """
-    for *_, values in _walk(rule, s, m, pis, ells, seed, guard, distinct=True):
+    for *_, values in _walk(rule, s, m, seed, distinct=True):
         yield values
 
 
-def distinct_sequences(rule, s, m, pis=None, ells=None, seed=None, guard=None) -> int:
+def distinct_sequences(rule, s, m, *, seed=None) -> int:
     """Number of distinct first outputs over the full enumeration."""
-    return sum(map(len, distinct_blocks(rule, s, m, pis, ells, seed, guard)))
+    return sum(map(len, distinct_blocks(rule, s, m, seed=seed)))

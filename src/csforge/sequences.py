@@ -6,9 +6,9 @@ structural: support is decided by exact comparison, never by rounding.
 
 The checks below are the one definition of an admissible knob: a finite
 real, an integer (integral floats such as 2.0 included), a list of m finite
-reals, a permutation, and m non-negative pads.  Every entry must be a real
-number: strings and booleans are refused, not converted.  ``None`` in place
-of a list means its default: zeros, or the identity order.
+reals, a permutation, m non-negative pads, and a tolerance.  Every entry
+must be a real number: strings and booleans are refused, not converted.
+``None`` in place of a list means its default: zeros, or the identity order.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "integral",
     "pads",
     "permutation",
+    "tolerance",
 ]
 
 
@@ -131,6 +132,14 @@ def finite_steps(values, m: int, name: str) -> tuple[float, ...]:
     if len(out) != m:
         raise ValueError(f"{name} must have {m} entries, got {len(out)}")
     return out
+
+
+def tolerance(tol) -> float:
+    """``tol`` as a float; nan, the infinities and negative values are refused."""
+    value = finite(tol, "tol")
+    if value < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    return value
 
 
 def permutation(values, m: int, first: int, name: str) -> tuple[int, ...]:

@@ -729,6 +729,16 @@ def test_simulate_names_the_first_lattice_with_choices(capsys, rule, s, first):
     assert err == f"error: {rule} has no admissible indices below s = {first}\n"
 
 
+def test_simulate_guard_on_a_walk_of_a_huge_lattice(capsys):
+    # the walk's 10^4400 combinations have more digits than Python writes out
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", "green", "--s", str(10**2200), "--m", "1", "--ebn0", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "guard" in err
+
+
 def test_simulate_rule_codebook(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, "simulate", "--rule", "green", "--s", "1", "--m", "2",
@@ -925,10 +935,11 @@ def _no_constants(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def checked_run(capsys, argv, codes=(0, 2, 3)):
+def checked_run(capsys, argv, codes=(0, 2, 3), parse_constant=_no_constants):
     """Run the CLI and check the exit contract: an exit code in ``codes``, no
     traceback, at most one stderr line counting numpy's warnings (each would
-    print its own lines), and strict JSON on stdout on exit 0."""
+    print its own lines), and strict JSON on stdout on exit 0 (with the
+    constants ``parse_constant`` takes)."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -944,7 +955,7 @@ def checked_run(capsys, argv, codes=(0, 2, 3)):
     numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.count("\n") + len(numeric) <= 1, (err, numeric)
     if code == 0:
-        json.loads(out, parse_constant=_no_constants)
+        json.loads(out, parse_constant=parse_constant)
     return code, out, err
 
 
@@ -1126,3 +1137,45 @@ def test_record_fuzz(tmp_path, capsys, data):
     # finite points only: the noiseless point +inf is written as Infinity
     checked_run(capsys, ["simulate", "--codebook", str(codebook), "--ebn0", "0,20",
                          "--trials", "4"])
+
+
+def _infinity_only(name):
+    # simulate writes its noiseless point +inf as Infinity, and no other constant
+    if name != "Infinity":
+        _no_constants(name)
+    return math.inf
+
+
+# an Eb/N0 point: a level, the noiseless point (1e999 reads as inf), or one
+# the simulation refuses
+EBN0_POINT = st.sampled_from(["0", "2", "6", "-3", "inf", "1e999"])
+EBN0_BAD = st.sampled_from(["-inf", "nan", "4000", "x", ""])
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_simulate_rule_fuzz(capsys, data):
+    # half the draws keep every value in range, so that exit 0 is common too
+    wide = data.draw(st.booleans(), label="out of range")
+
+    def draw(label, good, bad):
+        return data.draw(st.one_of(good, bad) if wide else good, label=label)
+
+    rule = data.draw(st.sampled_from(qam.RULES), label="rule")
+    s = draw("s", st.integers(1, 4), st.sampled_from([0, -1, 10**2200]))
+    m = draw("m", st.integers(1, 4), st.sampled_from([0, -1, 5, 10**2200]))
+    ebn0 = data.draw(st.lists(st.one_of(EBN0_POINT, EBN0_BAD) if wide else EBN0_POINT,
+                              min_size=1, max_size=4), label="ebn0")
+    trials = data.draw(st.integers(1, 64), label="trials")
+    argv = ["simulate", f"--rule={rule}", f"--s={s}", f"--m={m}", f"--ebn0={','.join(ebn0)}",
+            f"--trials={trials}"]
+    if data.draw(st.booleans(), label="--rng-seed given"):
+        seed = draw("--rng-seed", st.integers(0, 2**32), st.sampled_from([-1, 2**64, 10**400]))
+        argv.append(f"--rng-seed={seed}")
+    code, out, err = checked_run(capsys, argv, parse_constant=_infinity_only)
+    if code:
+        assert out == ""
+        assert err.startswith(("error: ", "csforge simulate: error: "))
+    else:
+        assert json.loads(out)["trials"] == trials

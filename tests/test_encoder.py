@@ -368,3 +368,10 @@ def test_length_guard():
     with pytest.raises(GuardError):
         RecursionParams(H=4, psi=(0, 1), shifts=(0, MAX_SEQUENCE_LENGTH))
     EncoderParams(m=2, H=4, d=(MAX_SEQUENCE_LENGTH - 4, 0))  # exactly at the limit
+
+
+def test_length_guard_does_not_write_out_a_huge_length():
+    # Python writes no integer of more than 4,300 digits
+    with pytest.raises(GuardError, match="limit") as info:
+        EncoderParams(m=2, H=4, d=(10**5000, 0))
+    assert "\n" not in str(info.value)

@@ -229,13 +229,6 @@ def test_dedup_matches_formula_small():
     assert distinct_sequences("yellow", 2, 2) == count_sequences("yellow", 2, 2).count
 
 
-def test_yellow_top_step_doubles_inner_steps():
-    # the amplitude knob on the last step breaks the order-reversal pairing
-    inner = distinct_sequences("yellow", 2, 2, ells=[1])
-    top = distinct_sequences("yellow", 2, 2, ells=[2])
-    assert top == 2 * inner
-
-
 def test_single_variable_counts_undercount():
     # the closed forms assume the reversal pairing, which is void at m=1
     assert count_sequences("green", 1, 1).count == 8
@@ -243,14 +236,42 @@ def test_single_variable_counts_undercount():
 
 
 def test_enumeration_guard(monkeypatch):
-    with pytest.raises(GuardError):
-        list(enumerate_rule("green", 1, 2, guard=10))
-    # the default is read when the walk starts
+    # the guard is read when the walk starts
     monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 10)
     with pytest.raises(GuardError):
         list(enumerate_rule("green", 1, 2))
     monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 1000)
     assert distinct_sequences("green", 1, 2) == 64
+
+
+def test_walk_takes_only_rule_s_m_and_a_seed():
+    seed = known_seed(2)
+    for walk in (enumerate_rule, distinct_blocks, distinct_sequences):
+        for knob in ({"pis": [(1, 2)]}, {"ells": [1]}, {"guard": 10**30}):
+            with pytest.raises(TypeError):
+                walk("green", 1, 2, **knob)
+        # the seed is keyword-only: a fourth positional argument is never read as one
+        with pytest.raises(TypeError):
+            walk("green", 1, 2, seed)
+    with pytest.raises(TypeError):
+        qam.enumeration_size("yellow", 2, 2, 1)
+
+
+def test_walk_guard_does_not_write_out_a_huge_count():
+    # 10^4400 combinations: Python writes no integer of more than 4,300 digits
+    with pytest.raises(GuardError, match="guard") as info:
+        distinct_sequences("green", 10**2200, 1)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_lattice_checks_refuse_a_bad_tolerance(tol):
+    # each returned True for these values, inf and nan alike
+    with pytest.raises(ValueError, match="tol"):
+        is_qam_point(1.3 + 1j, 1, tol=tol)
+    for values in ([0.5 + 0.2j], [0]):
+        with pytest.raises(ValueError, match="tol"):
+            on_lattice(values, 1, tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -286,14 +307,16 @@ def _phases_agree(a, b, H=4, tol=1e-12):
     ("orange", 2, 2, 1, None), ("orange", 2, 3, 1, [(2, 3, 1)]),
 ])
 def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
+    # the walk takes every order; its rows of the orders ``pis`` (all when
+    # None) are checked, in lexicographic order as the walk lists them
     seed = known_seed(n_seed)
     rows = [
         (replace(params, pi=tuple(pi)), K[i], z[i], values[j * len(K) + i])
-        for params, orders, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
-        for j, pi in enumerate(orders)
+        for params, orders, K, z, values in enumerate_rule(rule, s, m, seed=seed)
+        for j, pi in enumerate(orders.tolist()) if pis is None or tuple(pi) in pis
         for i in range(len(K))
     ]
-    reference = list(reference_walk(rule, s, m, seed, pis))
+    reference = list(reference_walk(rule, s, m, seed, pis and sorted(pis)))
     assert len(rows) == len(reference)
     for (params, k, z, row), (ref_k, ref_z, member, expected) in zip(rows, reference):
         assert tuple(k) == ref_k and z == ref_z
@@ -304,9 +327,9 @@ def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
         assert _phases_agree(params.k_dprime + z, member.k_dprime)
         assert np.max(np.abs(row - expected)) <= 1e-12
         assert sequence_key(row) == sequence_key(expected)
-    distinct = np.concatenate(list(distinct_blocks(rule, s, m, pis=pis, seed=seed)))
+    distinct = np.concatenate(list(distinct_blocks(rule, s, m, seed=seed)))
     keys = [sequence_key(v) for v in distinct]
-    assert keys == reference_distinct_keys(rule, s, m, seed, pis)
+    assert keys == reference_distinct_keys(rule, s, m, seed)
 
 
 @pytest.mark.parametrize("rule, s, m, pis", [
@@ -316,35 +339,26 @@ def test_walk_matches_member_loop(rule, s, m, n_seed, pis):
 @pytest.mark.parametrize("n_seed", [1, 2, 3, 4])
 def test_tensor_walk_matches_reference_walk(rule, s, m, pis, n_seed):
     # at m = 2 a block stacks many (choice, ell) groups and both orders; at
-    # m = 3 and N = 4 each order of a group is a block of its own
+    # m = 3 and N = 4 each order of a group is a block of its own.  The walk
+    # takes every order; its rows of the orders ``pis`` are checked, in
+    # lexicographic order as the walk lists them
     seed = known_seed(n_seed)
     rows = [
         (tuple(pi), tuple(K[i]), z[i], values[j * len(K) + i])
-        for _, orders, K, z, values in enumerate_rule(rule, s, m, pis=pis, seed=seed)
-        for j, pi in enumerate(orders)
+        for _, orders, K, z, values in enumerate_rule(rule, s, m, seed=seed)
+        for j, pi in enumerate(orders.tolist()) if tuple(pi) in pis
         for i in range(len(K))
     ]
-    reference = list(reference_walk(rule, s, m, seed, pis))
+    reference = list(reference_walk(rule, s, m, seed, sorted(pis)))
     assert len(rows) == len(reference)
     for (pi, k, z, row), (ref_k, ref_z, member, expected) in zip(rows, reference):
         assert (pi, k, z) == (member.pi, ref_k, ref_z)
         assert sequence_key(row) == sequence_key(expected)
         assert np.max(np.abs(row - expected)) <= 1e-12
-    # reference_distinct_keys of the same walk
-    first_seen = dict.fromkeys(sequence_key(expected) for *_, expected in reference)
-    distinct = np.concatenate(list(distinct_blocks(rule, s, m, pis=pis, seed=seed)))
-    keys = [sequence_key(v) for v in distinct]
-    assert keys == list(first_seen)
-
-
-def test_walk_checks_each_order():
-    # integral floats are orders, as in EncoderParams; a row of the wrong length is not
-    floats = [values for *_, values in enumerate_rule("yellow", 2, 2, pis=[(2.0, 1.0)])]
-    ints = [values for *_, values in enumerate_rule("yellow", 2, 2, pis=[(2, 1)])]
-    assert all(np.array_equal(a, b) for a, b in zip(floats, ints)) and len(floats) == len(ints)
-    for pis in ([(1, 2, 1, 2)], [(1, 1)], [(1,)]):
-        with pytest.raises(ValueError, match="pi"):
-            list(enumerate_rule("yellow", 2, 2, pis=pis))
+    # the first row of each key of the whole walk
+    expected = reference_distinct_rows(enumerate_rule(rule, s, m, seed=seed))
+    distinct = np.concatenate(list(distinct_blocks(rule, s, m, seed=seed)))
+    assert [sequence_key(v) for v in distinct] == [sequence_key(v) for v in expected]
 
 
 def test_choice_count_is_the_unit_count_at_one_step():
@@ -493,24 +507,21 @@ _ORACLE_WALKS = (
      if qam.enumeration_size(rule, s, m) <= 40_000]
     # m = 1, where the closed forms undercount
     + [(rule, s, 1, n, None, None) for rule in qam.RULES for s in (2, 3) for n in (1, 3)]
-    # restricted orders and steps
-    + [
-        ("yellow", 2, 3, 1, [(3, 1, 2), (2, 1, 3), (1, 2, 3)], None),
-        ("yellow", 2, 3, 2, None, [3, 1]),
-        ("orange", 2, 3, 1, None, [2]),
-        ("orange", 3, 3, 3, [(2, 3, 1), (1, 3, 2)], [3, 2]),
-        ("blue", 2, 3, 1, [(1, 2, 3), (3, 2, 1), (2, 1, 3)], [1, 3]),
-        ("cyan", 3, 2, 4, [(2, 1)], [2]),
-        ("green", 2, 3, 3, [(3, 2, 1), (1, 2, 3), (2, 3, 1)], None),
-    ]
+    # m = 3, 9,216 to 36,864 combinations
+    + [(rule, s, 3, n, None, None) for rule, s, n in (
+        ("yellow", 2, 1), ("yellow", 2, 2), ("orange", 2, 1), ("orange", 3, 3), ("blue", 2, 1),
+        ("green", 2, 3),
+    )]
 )
 
 
+# ``pis`` and ``ells`` are None in every case, since every walk takes all
+# orders and steps; the two columns keep the cases' ids
 @pytest.mark.parametrize("rule, s, m, n_seed, pis, ells", _ORACLE_WALKS)
 def test_distinct_rows_are_the_first_rows_of_the_walk(rule, s, m, n_seed, pis, ells):
     seed = known_seed(n_seed)
-    expected = reference_distinct_rows(enumerate_rule(rule, s, m, pis, ells, seed))
-    rows = list(qam.distinct_blocks(rule, s, m, pis, ells, seed))
+    expected = reference_distinct_rows(enumerate_rule(rule, s, m, seed=seed))
+    rows = list(qam.distinct_blocks(rule, s, m, seed=seed))
     rows = np.concatenate(rows) if rows else expected
     # bit-identical rows in the same order
     assert len(rows) == len(expected) and rows.tobytes() == expected.tobytes()
@@ -572,19 +583,11 @@ def test_distinct_walk_encodes_no_earlier_group(monkeypatch, rule, s, m, n_seed)
 
     monkeypatch.setattr(qam, "encode_family", encode_spy)
     monkeypatch.setattr(qam, "_members", members_spy)
-    walk = qam._walk(rule, s, m, None, None, seed, None, distinct=True)
+    walk = qam._walk(rule, s, m, seed, distinct=True)
     assert [_cell(params, pi) for params, orders, *_ in walk for pi in orders] == first
     # each cell's first output is encoded once; only the first cells' are turned
     assert encoded == cells
     assert sum(expanded) == len(first)
-
-
-@pytest.mark.parametrize("rule, s", [("yellow", 2), ("cyan", 2)])
-@pytest.mark.parametrize("limits", [{"pis": []}, {"ells": []}])
-def test_walk_without_orders_or_steps_is_empty(rule, s, limits):
-    # cyan has no admissible choice at s = 2
-    assert list(enumerate_rule(rule, s, 2, **limits)) == []
-    assert distinct_sequences(rule, s, 2, **limits) == 0
 
 
 def test_distinct_walk_refuses_a_zero_seed_sequence():
