@@ -120,17 +120,18 @@ def reference_encode(params):
     return EncodedPair(ComplexSequence(c_out), ComplexSequence(d_out), bool(np.any(occupancy > 1)))
 
 
-def reference_walk(rule, s, m, seed=None, pis=None):
+def reference_walk(rule, s, m, seed=None, pis=None, ells=None):
     """The exhaustive walk one member at a time, as ``qam.enumerate_rule`` once ran it.
 
     Yields (k, z, params, first output) per member: every member is built
     by the rule's builder and encoded by ``encode_pair``, in the order
     choice, ell, pi, k (lexicographic, orange's k[ell-1] last), z.  ``pis``
-    limits the orders (default: all of them).
+    and ``ells`` limit the orders and steps (default: all of them).
     """
     entry = qam.rule_entry(rule)
     pis = pis if pis is not None else list(itertools.permutations(range(1, m + 1)))
-    steps = [{"ell": ell} for ell in range(1, m + 1)] if entry.has_ell else [{}]
+    ells = ells if ells is not None else range(1, m + 1)
+    steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
     for choice in entry.choices(s):
         for step in steps:
             fixed = dict(choice, **step, s=s, m=m, seed=seed)
@@ -144,10 +145,10 @@ def reference_walk(rule, s, m, seed=None, pis=None):
                         yield k, z, params, encode_pair(params).c.values
 
 
-def reference_distinct_keys(rule, s, m, seed=None, pis=None):
+def reference_distinct_keys(rule, s, m, seed=None, pis=None, ells=None):
     """``qam.sequence_key`` of each distinct first output of the reference walk, first seen first."""
     seen = {}
-    for *_, values in reference_walk(rule, s, m, seed, pis):
+    for *_, values in reference_walk(rule, s, m, seed, pis, ells):
         seen.setdefault(qam.sequence_key(values), None)
     return list(seen)
 

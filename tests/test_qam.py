@@ -507,16 +507,22 @@ _ORACLE_WALKS = (
      if qam.enumeration_size(rule, s, m) <= 40_000]
     # m = 1, where the closed forms undercount
     + [(rule, s, 1, n, None, None) for rule in qam.RULES for s in (2, 3) for n in (1, 3)]
-    # m = 3, 9,216 to 36,864 combinations
-    + [(rule, s, 3, n, None, None) for rule, s, n in (
-        ("yellow", 2, 1), ("yellow", 2, 2), ("orange", 2, 1), ("orange", 3, 3), ("blue", 2, 1),
-        ("green", 2, 3),
-    )]
+    # m = 3, 9,216 to 36,864 combinations, and the cyan walk's members of
+    # one order and one step
+    + [
+        ("yellow", 2, 3, 1, None, None),
+        ("yellow", 2, 3, 2, None, None),
+        ("orange", 2, 3, 1, None, None),
+        ("orange", 3, 3, 3, None, None),
+        ("blue", 2, 3, 1, None, None),
+        ("cyan", 3, 2, 4, [(2, 1)], [2]),
+        ("green", 2, 3, 3, None, None),
+    ]
 )
 
 
-# ``pis`` and ``ells`` are None in every case, since every walk takes all
-# orders and steps; the two columns keep the cases' ids
+# every walk takes all orders and steps; ``pis`` and ``ells``, when given,
+# pick the reference members whose keys the distinct rows must hold
 @pytest.mark.parametrize("rule, s, m, n_seed, pis, ells", _ORACLE_WALKS)
 def test_distinct_rows_are_the_first_rows_of_the_walk(rule, s, m, n_seed, pis, ells):
     seed = known_seed(n_seed)
@@ -525,6 +531,10 @@ def test_distinct_rows_are_the_first_rows_of_the_walk(rule, s, m, n_seed, pis, e
     rows = np.concatenate(rows) if rows else expected
     # bit-identical rows in the same order
     assert len(rows) == len(expected) and rows.tobytes() == expected.tobytes()
+    if pis or ells:
+        # no member of the picked orders and steps has a key the rows lack
+        picked = reference_distinct_keys(rule, s, m, seed, pis, ells)
+        assert picked and set(picked) <= {sequence_key(row) for row in rows}
 
 
 @settings(max_examples=60, deadline=None)
