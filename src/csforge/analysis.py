@@ -60,6 +60,10 @@ class ApacProfile:
     values: np.ndarray
     n: int
 
+    def __len__(self) -> int:
+        """The length n of the sequence, so that a profile counts as long as its sequence."""
+        return self.n
+
     def lag(self, k: int) -> complex:
         if not -self.n < k < self.n:
             raise ValueError(f"lag {k} out of range for length {self.n}")
@@ -134,8 +138,12 @@ def is_gcp(a, b, tol: float = GCP_TOL) -> GcpCheck:
 
 
 def papr_bound_db(seq) -> float:
-    """Peak-to-average upper bound from the autocorrelation magnitudes, in dB."""
-    prof = apac(seq)
+    """Peak-to-average upper bound from the autocorrelation magnitudes, in dB.
+
+    ``seq`` may also be its ``ApacProfile``, such as ``PowerTrace.profile``,
+    which saves computing the autocorrelation again.
+    """
+    prof = seq if isinstance(seq, ApacProfile) else apac(seq)
     r0 = prof.zero_lag
     if r0 <= 0:
         raise ValueError("zero sequence has no power ratio")

@@ -42,8 +42,9 @@ MAX_REPORT_DIGITS = 4000
 
 
 def _complex_to_json(values) -> dict:
+    """The ``re``/``im`` form of a complex array: float64 arrays, which ``_emit`` writes as lists."""
     arr = np.asarray(values, dtype=complex)
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+    return {"re": arr.real, "im": arr.imag}
 
 
 def _real_array(values) -> np.ndarray:
@@ -143,13 +144,14 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
     Items are dumped and written one at a time, in the bytes of one ``dumps``
     of the list, so items built on demand are never all held at once.  The
     first is dumped before ``out_path`` is opened: if that fails, no file
-    is written and nothing is printed.
+    is written and nothing is printed.  A float64 array in a dict is written
+    as the list it holds (``_floats_text``).
     """
-    # compact separators and one dumps call per item keep json on its C
-    # encoder; indent, or json.dump to a file, runs the pure-Python one
+    # compact separators keep json.dumps on its C encoder; indent, or
+    # json.dump to a file, runs the pure-Python one
     dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
     is_list = not isinstance(doc, dict)
-    texts = map(dumps, doc if is_list else (doc,))
+    texts = (_json_text(item, dumps) for item in (doc if is_list else (doc,)))
     first = next(texts, None)
     with contextlib.ExitStack() as stack:
         fh = sys.stdout
@@ -165,6 +167,33 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
                 fh.write(",")
                 fh.write(text)
         fh.write("]\n" if is_list else "\n")
+
+
+def _json_text(value, dumps) -> str:
+    """``dumps(value)``, where ``value`` may hold float64 arrays in its dicts (string keys)."""
+    if isinstance(value, np.ndarray):
+        return _floats_text(value, dumps)
+    if isinstance(value, dict) and any(isinstance(v, (dict, np.ndarray)) for v in value.values()):
+        return "{" + ",".join(f"{dumps(key)}:{_json_text(item, dumps)}"
+                              for key, item in value.items()) + "}"
+    return dumps(value)
+
+
+def _floats_text(values: np.ndarray, dumps) -> str:
+    """``dumps(values.tolist())`` for a float64 array, each distinct value rendered once.
+
+    Values are told apart by their bits, so -0.0 keeps its own text; the
+    distinct ones are dumped as one list, which spells each as json does and
+    meets ``allow_nan`` as the whole list would, and their texts are gathered
+    in element order.  Arrays with more than half of their values distinct
+    are dumped as a list: rendering each distinct value once no longer pays
+    for the sort and the gather there.
+    """
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(values):
+        return dumps(values.tolist())
+    texts = np.array(dumps(bits.view(np.float64).tolist())[1:-1].split(","), dtype=object)
+    return "[" + ",".join(texts[where].tolist()) + "]"
 
 
 @contextlib.contextmanager
@@ -298,7 +327,7 @@ def cmd_verify(args) -> int:
     del records  # the parsed lists hold several times the arrays' memory
     report: dict = {"schema": 1, "records": []}
     for seq_id, seq in zip(ids, seqs):
-        papr_db, _ = papr_oversampled_db(seq, args.oversample)
+        papr_db, trace = papr_oversampled_db(seq, args.oversample)
         clusters = seq.clusters()
         report["records"].append(
             {
@@ -310,7 +339,7 @@ def cmd_verify(args) -> int:
                     for (_, prev_stop), (start, _) in zip(clusters, clusters[1:])
                 ],
                 "papr_db": papr_db,
-                "papr_bound_db": papr_bound_db(seq),
+                "papr_bound_db": papr_bound_db(trace.profile),
             }
         )
     ok = True
@@ -369,7 +398,7 @@ def cmd_papr(args) -> int:
         "length": len(seq),
         "oversample": args.oversample,
         "papr_db": papr_db,
-        "papr_bound_db": papr_bound_db(seq),
+        "papr_bound_db": papr_bound_db(trace.profile),
         "peak_power": trace.peak,
         "mean_power": trace.mean,
     }

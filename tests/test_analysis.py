@@ -168,6 +168,18 @@ def test_papr_bound_simple_values():
         papr_bound_db([0, 0])
 
 
+def test_papr_bound_reads_the_trace_profile():
+    # verify takes the bound from the profile papr_oversampled_db computed:
+    # the same bits as the bound of the sequence
+    rng = np.random.default_rng(11)
+    gapped = encode_pair(EncoderParams(3, 4, d=(4, 2, 0))).c
+    for a in ([5.0], [1, 1], gapped, rng.standard_normal(37) + 1j * rng.standard_normal(37),
+              rng.choice([-3.0, -1.0, 1.0, 3.0], 256)):
+        _, trace = papr_oversampled_db(a)
+        assert len(trace.profile) == len(a)
+        assert papr_bound_db(trace.profile) == papr_bound_db(a)
+
+
 def test_bound_dominates_measurement():
     rng = np.random.default_rng(4)
     for _ in range(1000):

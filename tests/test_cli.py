@@ -1,18 +1,20 @@
 import ast
 import builtins
+import functools
 import json
 import math
 import pathlib
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
+from hypothesis import HealthCheck, currently_in_test_context, event, example, given, settings
 from hypothesis import strategies as st
 
 from csforge import cli, qam
-from csforge.analysis import MAX_GRID_POINTS
+from csforge.analysis import MAX_GRID_POINTS, is_gcp, papr_bound_db, papr_oversampled_db
 from csforge.encoder import (
     MAX_ENCODE_VARS,
     MAX_SEQUENCE_LENGTH,
@@ -49,6 +51,21 @@ def multilevel_doc():
 
 def values_of(record):
     return np.asarray(record["values"]["re"]) + 1j * np.asarray(record["values"]["im"])
+
+
+def complex_lists(values):
+    """The ``re``/``im`` form of a params document, as JSON lists."""
+    arr = np.asarray(values, dtype=complex)
+    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+
+
+def as_lists(value):
+    """``value`` with each array in its dicts as the list it holds."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value
 
 
 def test_encode_from_params_file(tmp_path, capsys):
@@ -348,6 +365,72 @@ def test_encode_writes_one_dumps_of_its_records(tmp_path, capsys):
 def test_emit_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._emit({"papr_db": float("nan")}, None)
+
+
+_RULE_PAIR = ["--rule", "green", "--s", "2", "--indices", "2,1", "--m", "10"]
+_PARAMS_PAIR = {"m": 8, "H": 4, "pi": [3, 1, 2, 8, 5, 4, 7, 6],
+                "e": np.random.default_rng(22).uniform(-1.0, 1.0, 8).tolist(),
+                "k": np.random.default_rng(23).uniform(0.0, 4.0, 8).tolist(),
+                "seed": {"a": {"re": [1, 0, 1], "im": [0, 1, 0]},
+                         "b": {"re": [1, 1, -1], "im": [0, -0.0, 0]}}}
+_GAPPED_PAIR = ["--m", "5", "--H", "4", "--pi", "2,1,3,5,4", "--d", "4,8,2,0,1"]
+
+
+@pytest.mark.parametrize("pair", ["rule", "params", "gapped"])
+def test_round_trip_bytes_are_one_dumps_of_the_lists(tmp_path, capsys, pair):
+    # records carry their float arrays to _emit; the file holds the bytes of
+    # one json.dumps of the same records built with lists
+    argv = {"rule": _RULE_PAIR, "gapped": _GAPPED_PAIR,
+            "params": ["--params", write_params(tmp_path, _PARAMS_PAIR)]}[pair]
+    target = tmp_path / "pair.json"
+    assert run_cli(capsys, "encode", *argv, "--out", str(target)) == (0, "", "")
+    params = cli._params_from_args(cli.build_parser().parse_args(["encode", *argv]))
+    result = encode_pair(params)
+    residual = is_gcp(result.c, result.d).residual
+    records = []
+    for seq_id, seq in (("c", result.c), ("d", result.d)):
+        record = cli.sequence_record(seq_id, seq, 16, residual, cli.params_to_dict(params))
+        record["overlap"] = result.overlap
+        records.append(as_lists(record))
+    assert target.read_text() == json.dumps(records, separators=(",", ":")) + "\n"
+    # verify reports each bound as papr_bound_db gives it for the sequence
+    code, out, _ = run_cli(capsys, "verify", str(target))
+    report = json.loads(out)
+    assert code == 0 and out == json.dumps(report, separators=(",", ":")) + "\n"
+    for line, seq in zip(report["records"], (result.c, result.d)):
+        assert line["papr_db"] == papr_oversampled_db(seq)[0]
+        assert line["papr_bound_db"] == papr_bound_db(seq)
+
+
+# floats json spells in every form: zeros of both signs, subnormals,
+# exponents, the largest finite values, and any other float64
+_SPELLINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, 1e+16, 1e22,
+                     sys.float_info.max, -sys.float_info.max, 1.0, -3.0]),
+    st.floats(width=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(_SPELLINGS, min_size=1, max_size=40),
+       picks=st.lists(st.integers(0, 39), max_size=80), allow_nan=st.booleans())
+@example(pool=[0.0, -0.0], picks=[0, 1, 0, 1, 0], allow_nan=False)
+@example(pool=[-0.0, 0.0], picks=[0, 0, 1], allow_nan=False)
+@example(pool=[1.0], picks=[], allow_nan=False)
+@example(pool=[math.nan, -math.inf, 2.5], picks=[0, 1, 2, 1, 1, 2, 2], allow_nan=True)
+@example(pool=[math.inf, 2.5], picks=[0, 1, 1, 1], allow_nan=False)
+def test_float_arrays_are_written_as_json_writes_their_list(pool, picks, allow_nan):
+    # repeats come from drawing entries out of a small pool: the distinct-value path
+    values = np.array([pool[i % len(pool)] for i in picks], dtype=float)
+    dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
+    try:
+        expected = dumps(values.tolist())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            cli._floats_text(values, dumps)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cli._floats_text(values, dumps) == expected
 
 
 def test_encode_validation_failure(tmp_path, capsys):
@@ -1099,8 +1182,8 @@ def test_params_file_fuzz(tmp_path, capsys, data):
         "k_prime": knob("k_prime", MODERATE),
         "k_dprime": knob("k_dprime", MODERATE),
         "d": knob("d", st.lists(st.integers(0, 3), min_size=m, max_size=m), st.integers(0, 3)),
-        "seed": knob("seed", st.just({"a": cli._complex_to_json(seed.a.values),
-                                      "b": cli._complex_to_json(seed.b.values)})),
+        "seed": knob("seed", st.just({"a": complex_lists(seed.a.values),
+                                      "b": complex_lists(seed.b.values)})),
     }
     path = write_params(tmp_path, doc)
     code, out, _ = checked_run(capsys, ["encode", "--params", path])
