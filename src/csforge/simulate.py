@@ -28,7 +28,8 @@ MAX_CODEBOOK = 1 << 16
 _CHUNK = 4096  # trials per noise draw
 
 # size of one tile of nearest-neighbour scores, rows x cols float64 numbers:
-# small enough to stay in a core's L2 cache while argmax reads it back
+# small enough to stay in a core's L2 cache while argmax reads it back.  Like
+# each row-major weight tile, it starts on a 64-byte boundary (_TiledDetector)
 _TILE_BYTES = 1 << 19
 # fewest received rows per tile, so that each product call stays amortized; a
 # codebook too large for this many rows of all M scores is split into column
@@ -96,6 +97,14 @@ def _noise_level(eb: float, ebn0_db: float) -> float:
     return n0
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-ordered float64 array whose data start on a 64-byte boundary."""
+    count = math.prod(shape)
+    raw = np.empty(count + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + count].reshape(shape)
+
+
 def _tile_shape(size: int) -> tuple[int, int]:
     """Rows and columns of one score tile for a codebook of ``size`` words."""
     rows = _TILE_BYTES // (8 * size)
@@ -107,21 +116,30 @@ def _tile_shape(size: int) -> tuple[int, int]:
 class _TiledDetector:
     """First maximum of each row of ``feats @ [2 c; -||c||^2]``, one tile at a time.
 
-    Each column tile holds a contiguous copy of its weight columns.  Tiles
-    after the first replace a row's running (best score, index) only where
-    their own maximum is strictly greater, so the first maximum wins overall
-    as ``argmax`` picks it within a tile.
+    Each column tile holds a row-major copy of its weight columns, the
+    ``(2n + 1) x cols`` matrix ``[2 Re c_0; 2 Im c_0; ...; -||c||^2]``, and it
+    and the score tile start on a 64-byte boundary.  BLAS packs the right
+    operand of every product row by row, which is slower from a
+    Fortran-ordered copy (what ``np.vstack`` of ``words.T`` gives), and a
+    weight or score buffer that straddles cache lines slows the product
+    too.  The received rows gain nothing from alignment.
+
+    Tiles after the first replace a row's running (best score, index) only
+    where their own maximum is strictly greater, so the first maximum wins
+    overall as ``argmax`` picks it within a tile.
     """
 
     def __init__(self, words: np.ndarray, norms: np.ndarray):
         size = len(words)
         self.rows, cols = _tile_shape(size)
-        self.tiles = [
-            (start, np.vstack([2.0 * words[start : start + cols].view(float).T,
-                               -norms[start : start + cols]]))
-            for start in range(0, size, cols)
-        ]
-        self.scores = np.empty(self.rows * self.tiles[0][1].shape[1])
+        self.tiles = []
+        for start in range(0, size, cols):
+            tile = words[start : start + cols]
+            weights = _aligned_empty((2 * tile.shape[1] + 1, len(tile)))
+            np.multiply(tile.view(float).T, 2.0, out=weights[:-1])
+            np.negative(norms[start : start + cols], out=weights[-1])
+            self.tiles.append((start, weights))
+        self.scores = _aligned_empty((self.rows * self.tiles[0][1].shape[1],))
         self.decided = np.empty(_CHUNK, dtype=np.intp)
         self.best = np.empty(_CHUNK)
         self.local = np.empty(self.rows, dtype=np.intp)

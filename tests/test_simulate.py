@@ -252,6 +252,40 @@ def test_detect_codebook_reports_are_pinned(rule, bit_errors):
     assert report.bit_errors == bit_errors
 
 
+# the benchmark's detect jobs (perfbench/workloads.py): its grid and trial count,
+# one rng seed; bit errors recorded before the weights became row-major
+@pytest.mark.parametrize("rule, bit_errors", [
+    ("green", (43929, 27219, 14735, 6825, 0)),
+    ("yellow", (52836, 34205, 18923, 8334, 0)),
+    ("orange", (65105, 44115, 24643, 10521, 0)),
+    ("blue", (75049, 49178, 24571, 8201, 0)),
+])
+def test_benchmark_detect_reports_are_pinned(rule, bit_errors):
+    words = np.concatenate(list(qam.distinct_blocks(rule, 2, 2)))
+    ebn0 = [0.0, 2.0, 4.0, 6.0, math.inf]
+    report = min_distance_sim(words, ebn0, trials=30_000, rng_seed=1)
+    assert report.bit_errors == bit_errors
+
+
+@pytest.mark.parametrize("size, tiles", [(256, 1), (1024, 1), (4096, 4)])
+def test_detector_weights_and_scores_are_row_major_and_aligned(size, tiles):
+    # BLAS packs the weights by rows; a Fortran-ordered copy or a buffer off a
+    # cache line makes every product slower
+    rng = np.random.default_rng(size)
+    words = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+    used, norms = simulate._prepare_codebook(words)
+    detector = simulate._TiledDetector(used, norms)
+    assert len(detector.tiles) == tiles
+    for start, weights in detector.tiles:
+        cols = weights.shape[1]
+        assert weights.shape == (9, cols)
+        assert weights.flags.c_contiguous and weights.ctypes.data % 64 == 0
+        expected = np.vstack([2.0 * used[start : start + cols].view(float).T,
+                              -norms[start : start + cols]])
+        assert np.array_equal(weights, expected)
+    assert detector.scores.flags.c_contiguous and detector.scores.ctypes.data % 64 == 0
+
+
 def scored_bit_errors(words, ebn0_db, trials, rng_seed):
     """Bit errors when the detector scores every trial, noiseless ones too.
 
