@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import GuardError, as_array, integral, pads, permutation, tolerance
+from .sequences import MAX_SEQUENCE_LENGTH, as_array, guard, integral, pads, permutation, tolerance
 
 __all__ = [
     "ApacProfile",
@@ -32,9 +32,8 @@ __all__ = [
 GCP_TOL = 1e-9
 
 # Most points an oversampled envelope grid may have: 16 times the longest
-# pair the encoder builds (encoder.MAX_SEQUENCE_LENGTH), 512 MiB of real
-# power values
-MAX_GRID_POINTS = 16 << 22
+# pair the encoder builds, 512 MiB of real power values
+MAX_GRID_POINTS = 16 * MAX_SEQUENCE_LENGTH
 
 
 def _grid_points(oversample: int, n: int) -> int:
@@ -46,10 +45,7 @@ def _grid_points(oversample: int, n: int) -> int:
     if factor < 4:
         raise ValueError(f"oversample must be an integer >= 4, got {oversample!r}")
     points = factor * n
-    if points > MAX_GRID_POINTS:
-        # the oversample can have more digits than Python writes out: give the grid's size
-        raise GuardError(f"oversampled grid of at least 2^{points.bit_length() - 1} points "
-                         f"exceeds the limit of {MAX_GRID_POINTS}")
+    guard(points, MAX_GRID_POINTS, "oversampled grid points")
     return points
 
 

@@ -137,8 +137,6 @@ class BooleanPolynomial:
         return BooleanPolynomial(self.m, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -23,7 +23,7 @@ import numpy as np
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, encode_pair, known_seed
-from .sequences import ComplexSequence, GuardError, integral, tolerance
+from .sequences import ComplexSequence, GuardError, guard, integral, tolerance
 from .simulate import MAX_CODEBOOK, min_distance_sim
 
 EXIT_OK = 0
@@ -111,10 +111,10 @@ def params_from_dict(doc: dict) -> EncoderParams:
         raise ValueError(str(exc)) from exc
 
 
-def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int = 16,
-                    gcp_residual: float | None = None, params: dict | None = None) -> dict:
+def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int, gcp_residual: float,
+                    params: dict, overlap: bool) -> dict:
     papr_db, _ = papr_oversampled_db(seq, oversample)
-    record = {
+    return {
         "schema": 1,
         "id": seq_id,
         "length": len(seq),
@@ -122,12 +122,10 @@ def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int = 16,
         "support": seq.support.tolist(),
         "clusters": [{"start": a, "length": b - a} for a, b in seq.clusters()],
         "papr_db": papr_db,
+        "gcp_residual": gcp_residual,
+        "params": params,
+        "overlap": overlap,
     }
-    if gcp_residual is not None:
-        record["gcp_residual"] = gcp_residual
-    if params is not None:
-        record["params"] = params
-    return record
 
 
 def _load_json(path: str):
@@ -296,14 +294,9 @@ def cmd_encode(args) -> int:
     result = encode_pair(params)
     check = is_gcp(result.c, result.d)
     doc = params_to_dict(params)
-
-    def record(seq_id: str, seq: ComplexSequence) -> dict:
-        rec = sequence_record(seq_id, seq, args.oversample, check.residual, doc)
-        rec["overlap"] = result.overlap
-        return rec
-
     # built one at a time as _emit writes them
-    _emit((record(*pair) for pair in (("c", result.c), ("d", result.d))), args.out)
+    _emit((sequence_record(seq_id, seq, args.oversample, check.residual, doc, result.overlap)
+           for seq_id, seq in (("c", result.c), ("d", result.d))), args.out)
     return EXIT_OK
 
 
@@ -371,8 +364,8 @@ def cmd_enumerate(args) -> int:
         "length": args.N * 2**args.m,
     }
     for name in ("count", "length"):
-        if report[name] >= 10**MAX_REPORT_DIGITS:
-            raise GuardError(f"{name} has more than {MAX_REPORT_DIGITS} digits")
+        guard(report[name], 10**MAX_REPORT_DIGITS - 1,
+              f"report {name} ({MAX_REPORT_DIGITS} digits at most)")
     if args.dedup:
         if args.rule not in qam.RULES:
             raise ValueError("--dedup applies to a single rule")
@@ -431,8 +424,7 @@ def _codebook_from_args(args) -> np.ndarray:
             raise ValueError("--rule codebooks need --m and --s")
         if args.m < 1 or args.s < 1:
             raise ValueError("s and m must be positive")
-        if args.m > _SIM_MAX_VARS:
-            raise GuardError(f"simulation limited to m <= {_SIM_MAX_VARS}")
+        guard(args.m, _SIM_MAX_VARS, "m of a simulate --rule codebook")
         if not qam.enumeration_size(args.rule, args.s, args.m):
             first = next(s for s in itertools.count(args.s + 1)
                          if qam.enumeration_size(args.rule, s, args.m))
@@ -440,8 +432,8 @@ def _codebook_from_args(args) -> np.ndarray:
         blocks: list[np.ndarray] = []
         for block in qam.distinct_blocks(args.rule, args.s, args.m):
             blocks.append(block)
-            if sum(map(len, blocks)) > MAX_CODEBOOK:
-                raise GuardError(f"codebook exceeds {MAX_CODEBOOK} sequences")
+            guard(sum(map(len, blocks)), MAX_CODEBOOK,
+                  "simulate --rule codebook words walked so far")
         return np.concatenate(blocks)
     raise ValueError("need --codebook or --rule")
 

@@ -21,7 +21,8 @@ import numpy as np
 from .analysis import GCP_TOL, is_gcp
 from .boolean import BooleanPolynomial, xor_expand
 from .sequences import (
-    ComplexSequence, GuardError, as_array, finite, finite_steps, integral, pads, permutation,
+    MAX_SEQUENCE_LENGTH, ComplexSequence, as_array, finite, finite_steps, guard, integral, pads,
+    permutation,
 )
 
 __all__ = [
@@ -40,9 +41,6 @@ __all__ = [
 ]
 
 MAX_ENCODE_VARS = 16
-
-# Longest pair the encoder builds: 4M elements, 64 MiB per complex output.
-MAX_SEQUENCE_LENGTH = 1 << 22
 
 
 class SeedPair:
@@ -118,11 +116,7 @@ def _seed(seed) -> SeedPair:
 
 
 def _check_length(seed: SeedPair, m: int, pads: tuple[int, ...]) -> None:
-    length = len(seed) * (1 << m) + sum(pads)
-    if length > MAX_SEQUENCE_LENGTH:
-        # the length can have more digits than Python writes out: give its size
-        raise GuardError(f"pair length of at least 2^{length.bit_length() - 1} elements "
-                         f"exceeds the limit of {MAX_SEQUENCE_LENGTH}")
+    guard(len(seed) * (1 << m) + sum(pads), MAX_SEQUENCE_LENGTH, "pair length")
 
 
 @dataclass(frozen=True)

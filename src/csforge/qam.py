@@ -35,7 +35,7 @@ from .encoder import (  # noqa: F401
     MAX_ENCODE_VARS, EncoderParams, SeedPair, _index_bits, encode_family, encode_pair,
     recursion_to_encoder,
 )
-from .sequences import GuardError, finite, finite_steps, tolerance
+from .sequences import finite, finite_steps, guard, tolerance
 
 __all__ = [
     "DEFAULT_ENUM_GUARD",
@@ -390,8 +390,7 @@ def count_sequences(rule: str, s: int, m: int, n_class: str = "N=1") -> RuleCoun
     """
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
-    if m > MAX_COUNT_VARS:
-        raise GuardError(f"family counts limited to m <= {MAX_COUNT_VARS}")
+    guard(m, MAX_COUNT_VARS, "m of a family count")
     single = n_class == "N=1"
     unit, unit_count = _unit_value(m, n_class)
     span = (m + 1) if single else m
@@ -427,8 +426,7 @@ def enumeration_size(rule, s, m) -> int:
     MAX_COUNT_VARS, as for the counts.
     """
     entry = rule_entry(rule)
-    if m > MAX_COUNT_VARS:
-        raise GuardError(f"walks limited to m <= {MAX_COUNT_VARS}")
+    guard(m, MAX_COUNT_VARS, "m of a walk")
     n_choices = entry.units(s, 1, 1) if s >= 1 else 0
     n_ells = m if entry.has_ell else 1
     return n_choices * n_ells * math.factorial(m) * 4 ** (m + 1)
@@ -468,12 +466,9 @@ def _walk(rule, s, m, seed, distinct):
     Each encode gives the first outputs of about WALK_BLOCK_BYTES of groups
     under every order; the keys and the members come from those rows."""
     entry = rule_entry(rule)
-    # checked before the m! orders are listed; the count can have more
-    # digits than Python writes out, so the message gives its size
     size = enumeration_size(rule, s, m)
-    if size > DEFAULT_ENUM_GUARD:
-        raise GuardError(f"{rule} enumeration at m={m} needs at least "
-                         f"2^{size.bit_length() - 1} combinations, guard is {DEFAULT_ENUM_GUARD}")
+    # checked before the m! orders are listed
+    guard(size, DEFAULT_ENUM_GUARD, f"{rule} walk combinations at m={m}")
     if not size:  # no admissible choice: list no orders
         return
     pis = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.intp)

@@ -9,6 +9,7 @@ real, an integer (integral floats such as 2.0 included), a list of m finite
 reals, a permutation, m non-negative pads, and a tolerance.  Every entry
 must be a real number: strings and booleans are refused, not converted.
 ``None`` in place of a list means its default: zeros, or the identity order.
+``guard`` is the one resource refusal.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import numpy as np
 __all__ = [
     "ComplexSequence",
     "GuardError",
+    "MAX_SEQUENCE_LENGTH",
     "as_array",
     "finite",
     "finite_steps",
+    "guard",
     "integral",
     "pads",
     "permutation",
@@ -31,8 +34,24 @@ __all__ = [
 ]
 
 
+# Longest pair the encoder builds: 4M elements, 64 MiB per complex output.
+MAX_SEQUENCE_LENGTH = 1 << 22
+
+
 class GuardError(RuntimeError):
     """A job beyond a resource guard: a grid, pair, walk or codebook too large to build."""
+
+
+def _size(n: int) -> str:
+    # Python writes no integer of more than 4,300 digits: give a large one's size
+    return str(n) if n <= 1 << 64 else f"at least 2^{n.bit_length() - 1}"
+
+
+def guard(need, limit, what: str) -> None:
+    """Return when ``need <= limit``; otherwise raise GuardError, naming ``what``."""
+    need, limit = int(need), int(limit)
+    if need > limit:
+        raise GuardError(f"{what}: {_size(need)} exceeds the guard limit of {_size(limit)}")
 
 
 class ComplexSequence:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import GuardError, as_array
+from .sequences import as_array, guard
 
 __all__ = [
     "MAX_CODEBOOK",
@@ -74,8 +74,7 @@ def _prepare_codebook(codebook) -> tuple[np.ndarray, np.ndarray]:
         words = np.asarray([as_array(w) for w in codebook], dtype=complex)
     if words.ndim != 2 or len(words) < 2:
         raise ValueError("codebook must hold at least two equal-length sequences")
-    if len(words) > MAX_CODEBOOK:
-        raise GuardError(f"codebook of {len(words)} exceeds {MAX_CODEBOOK}")
+    guard(len(words), MAX_CODEBOOK, "codebook words")
     if not words.shape[1]:
         raise ValueError("codebook words must not be empty")
     used = words[: 1 << (len(words).bit_length() - 1)]

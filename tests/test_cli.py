@@ -23,6 +23,7 @@ from csforge.encoder import (
     known_seed,
 )
 from csforge.qam import MAX_COUNT_VARS, on_lattice
+from csforge.sequences import GuardError, guard
 from csforge.simulate import MAX_CODEBOOK
 
 E1 = (2.0 / math.pi) * math.log(3.0)
@@ -290,6 +291,40 @@ def test_guard_error_is_the_only_exception_class():
     assert defined == [("sequences", "GuardError")]
 
 
+def _guard_raisers(node, where):
+    """The innermost function, class or module around each ``raise GuardError``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc and "GuardError" in ast.dump(child.exc):
+            yield where
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _guard_raisers(child, child.name if scope else where)
+
+
+def test_guard_error_is_raised_only_by_the_guard_helper():
+    # every resource refusal goes through sequences.guard, so all of them
+    # share one message shape
+    raisers = [
+        (path.stem, where)
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        for where in _guard_raisers(ast.parse(path.read_text()), "<module>")
+    ]
+    assert raisers == [("sequences", "guard")]
+
+
+def test_guard_helper():
+    assert guard(10, 10, "things") is None
+    with pytest.raises(GuardError) as info:
+        guard(2**64, 2**64 - 1, "things")
+    assert str(info.value) == ("things: 18446744073709551616 exceeds the guard limit of "
+                               "18446744073709551615")
+    with pytest.raises(GuardError) as info:
+        guard(10**5000, 7, "things")  # more digits than Python writes out
+    assert str(info.value) == "things: at least 2^16609 exceeds the guard limit of 7"
+    with pytest.raises(GuardError) as info:
+        guard(np.int64(1001), np.int64(1000), "m")
+    assert str(info.value) == "m: 1001 exceeds the guard limit of 1000"
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -389,8 +424,8 @@ def test_round_trip_bytes_are_one_dumps_of_the_lists(tmp_path, capsys, pair):
     residual = is_gcp(result.c, result.d).residual
     records = []
     for seq_id, seq in (("c", result.c), ("d", result.d)):
-        record = cli.sequence_record(seq_id, seq, 16, residual, cli.params_to_dict(params))
-        record["overlap"] = result.overlap
+        record = cli.sequence_record(seq_id, seq, 16, residual, cli.params_to_dict(params),
+                                     result.overlap)
         records.append(as_lists(record))
     assert target.read_text() == json.dumps(records, separators=(",", ":")) + "\n"
     # verify reports each bound as papr_bound_db gives it for the sequence
@@ -644,7 +679,12 @@ def test_enumerate_bounds_report_digits(capsys, argv, name):
     code, out, err = run_cli(capsys, "enumerate", *argv)
     assert code == 3
     assert out == ""
-    assert err == f"error: {name} has more than {cli.MAX_REPORT_DIGITS} digits\n"
+    need = {"count": qam.count_sequences("total", int(argv[1]), 2).count,
+            "length": int(argv[-1]) * 2**MAX_COUNT_VARS}[name]
+    limit = 10**cli.MAX_REPORT_DIGITS - 1
+    assert err == (f"error: report {name} ({cli.MAX_REPORT_DIGITS} digits at most): "
+                   f"at least 2^{need.bit_length() - 1} exceeds the guard limit of "
+                   f"at least 2^{limit.bit_length() - 1}\n")
 
 
 def test_enumerate_guard_exit(capsys, monkeypatch):
@@ -799,7 +839,18 @@ def test_simulate_guard_on_large_m(capsys):
         "--ebn0", "inf", "--trials", "10",
     )
     assert code == 3
-    assert "m <= 4" in err
+    assert err == "error: m of a simulate --rule codebook: 5 exceeds the guard limit of 4\n"
+
+
+def test_simulate_guard_on_a_large_rule_codebook(capsys):
+    # blue s=2 m=4 walks more than 2^16 distinct words
+    code, out, err = run_cli(
+        capsys, "simulate", "--rule", "blue", "--s", "2", "--m", "4", "--ebn0", "inf",
+        "--trials", "10",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "guard" in err and str(MAX_CODEBOOK) in err
 
 
 @pytest.mark.parametrize("rule, s, first", [("cyan", "2", 3), ("cyan", "1", 3), ("yellow", "1", 2)])

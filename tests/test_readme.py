@@ -1,9 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and it names every guard's limit."""
 
+import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run():
@@ -12,3 +14,22 @@ def test_readme_python_blocks_run():
     namespace = {"__name__": "readme"}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _guard_limits():
+    """The constants named in the limit of each ``guard(need, limit, what)`` call."""
+    for path in sorted((ROOT / "src" / "csforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "guard"):
+                names = [n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)]
+                assert names, f"{path.name}:{node.lineno}: a guard limit without a constant"
+                yield from names
+
+
+def test_readme_names_every_guard_limit():
+    text = README.read_text()
+    limits = set(_guard_limits())
+    assert len(limits) >= 7
+    missing = sorted(name for name in limits if not re.search(rf"`(\w+\.)*{name}`", text))
+    assert not missing
