@@ -376,6 +376,10 @@ def cmd_enumerate(args) -> int:
         distinct = qam.distinct_sequences(args.rule, args.s, args.m, seed=seed)
         report["dedup"] = distinct
         report["dedup_matches_formula"] = distinct == count.count
+        # (choice, ell, pi) cells walked and kept, 4^(m+1) words each
+        group = 4 ** (args.m + 1)
+        report["groups"] = qam.enumeration_size(args.rule, args.s, args.m) // group
+        report["distinct_groups"] = distinct // group
     _emit(report, args.out)
     return EXIT_OK
 
@@ -512,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--N", type=_integer, default=1,
                      help="seed length class; --dedup walks the stock seed of this length (1..4)")
     enu.add_argument("--dedup", action="store_true",
-                     help="also count distinct sequences exhaustively")
+                     help="also count the distinct sequences of the stock seed's "
+                          "walk, by group key")
     enu.add_argument("--out")
     enu.set_defaults(func=cmd_enumerate)
 

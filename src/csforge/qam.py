@@ -15,9 +15,10 @@ of the pair encoder so every nonzero output element lands on the lattice:
 * orange keeps one radius but sends the halves to mirror angles.
 
 Counting helpers return family sizes in units of G0 = (m!/2) 4^(m+1) for
-length-1 seeds and A0 = m! 4^(m+1) for longer seeds, and ``enumerate_rule``
-walks the full parameter space for small cases so the formulas can be
-checked by exhaustive deduplication.
+length-1 seeds and A0 = m! 4^(m+1) for longer seeds.  ``enumerate_rule``
+walks the full parameter space for small cases, and ``distinct_sequences``
+counts its distinct words by group key, so the formulas can be checked by
+exhaustive deduplication.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "RuleEntry",
     "RuleSpec",
     "WALK_BLOCK_BYTES",
+    "WALK_KEY_BYTES",
     "blue_params",
     "count_sequences",
     "cyan_params",
@@ -71,11 +73,15 @@ RULE_MODULUS = 4  # all five rules live on quaternary phases
 # exponent units per radian and per neper when H = 4
 _SCALE = 4.0 / (2.0 * math.pi)
 
-# Most combinations the exhaustive walk visits
+# Most combinations the member walks (enumerate_rule, distinct_blocks) visit
 DEFAULT_ENUM_GUARD = 10_000_000
 
+# Most bytes of group keys the counting walk may hold: one 16 * N * 2^m byte
+# key per (choice, ell, pi) cell, 256 MiB
+WALK_KEY_BYTES = 1 << 28
+
 # About how many bytes of first outputs one encode of the walk writes (one
-# group's orders at least), and the most bytes of members in one of its
+# order at least), and the most bytes of members in one of its
 # blocks (one order at least); at 128 KiB its scratch stays under about 1 MB
 WALK_BLOCK_BYTES = 1 << 17
 
@@ -457,50 +463,74 @@ def enumerate_rule(
     Raises GuardError before any encode when the raw combination count
     exceeds DEFAULT_ENUM_GUARD.
     """
-    yield from _walk(rule, s, m, seed, distinct=False)
+    yield from _blocks(rule, s, m, seed, distinct=False)
+
+
+def _row_bytes(m: int, seed) -> int:
+    """Bytes of one first output of the walk: N * 2^m complex values."""
+    return 16 * (1 if seed is None else len(seed)) << m
 
 
 def _walk(rule, s, m, seed, distinct):
-    """``enumerate_rule``'s blocks; when ``distinct``, only the rows of the
-    (choice, ell, pi) groups whose ``_canonical`` key no earlier group has.
-    Each encode gives the first outputs of about WALK_BLOCK_BYTES of groups
-    under every order; the keys and the members come from those rows."""
+    """The (choice, ell, pi) groups of the walk, in walk order, unguarded.
+
+    Yields (params, orders, r0, ell) runs: ``params`` is the (choice, ell)
+    member with the identity order, k = 0 and z = 0, ``r0`` its first
+    outputs under ``orders``, and ``ell`` its step (None for green).  When
+    ``distinct``, only the groups whose ``_canonical`` key no earlier group
+    has.  One encode gives the first outputs of about WALK_BLOCK_BYTES of
+    groups under every order, or of one group under a run of its orders
+    when all m! of them take more.
+    """
     entry = rule_entry(rule)
-    size = enumeration_size(rule, s, m)
-    # checked before the m! orders are listed
-    guard(size, DEFAULT_ENUM_GUARD, f"{rule} walk combinations at m={m}")
-    if not size:  # no admissible choice: list no orders
+    ells = range(1, m + 1) if entry.has_ell else (None,)
+    groups = [(entry.build(**choice, **({"ell": ell} if ell else {}), s=s, m=m, pi=None,
+                           k=None, z=0, seed=seed), ell)
+              for choice in entry.choices(s) for ell in ells]
+    if not groups:  # no admissible choice: list no orders
         return
     pis = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.intp)
     pis.flags.writeable = False
-    K, z = _phase_grid(m)
-    length = (1 if seed is None else len(seed)) << m
-    per_block = max(1, WALK_BLOCK_BYTES // (16 * length * len(K)))
-    per_encode = max(1, WALK_BLOCK_BYTES // (16 * length * len(pis)))
-    ells = range(1, m + 1)
-    steps = [{"ell": ell} for ell in ells] if entry.has_ell else [{}]
-    # orange varies its step phase k[ell-1] last
-    step_rows = {ell: _phase_last(K, ell) for ell in ells} if entry.phase_last else {}
-    groups = [(entry.build(**choice, **step, s=s, m=m, pi=None, k=None, z=0, seed=seed),
-               step_rows[step["ell"]] if entry.phase_last else K)
-              for choice in entry.choices(s) for step in steps]
+    cells = max(1, WALK_BLOCK_BYTES // _row_bytes(m, seed))  # (group, order) cells an encode
+    per_encode = max(1, cells // len(pis))
+    per_order = min(cells, len(pis))
     seen: set[bytes] = set()
     for first in range(0, len(groups), per_encode):
         batch = groups[first : first + per_encode]
-        base = encode_family([params for params, _ in batch], pis)
-        kept = np.ones((len(batch), len(pis)), dtype=bool)
-        if distinct:
-            for cell, key in enumerate(map(np.ndarray.tobytes, _canonical(_key_values(base), m))):
-                kept.flat[cell] = key not in seen
-                seen.add(key)
-        for (params, rows), r0, mine in zip(batch, np.split(base, len(batch)), kept):
-            orders, r0 = pis[mine], r0[mine]
-            for lo in range(0, len(orders), per_block):
-                part = slice(lo, lo + per_block)
-                block = _members(r0[part], orders[part], rows, z)
-                block.flags.writeable = False
-                yield params, orders[part], rows, z, block
-                del block  # not held while the next block is made
+        for lo in range(0, len(pis), per_order):
+            orders = pis[lo : lo + per_order]
+            base = encode_family([params for params, _ in batch], orders)
+            kept = np.ones((len(batch), len(orders)), dtype=bool)
+            if distinct:
+                for cell, key in enumerate(map(np.ndarray.tobytes, _canonical(_key_values(base), m))):
+                    kept.flat[cell] = key not in seen
+                    seen.add(key)
+            for (params, ell), r0, mine in zip(batch, np.split(base, len(batch)), kept):
+                yield params, orders[mine], r0[mine], ell
+
+
+def _blocks(rule, s, m, seed, distinct):
+    """``enumerate_rule``'s blocks from ``_walk``'s groups: each group's
+    members, in runs of orders whose members fit WALK_BLOCK_BYTES; a run
+    never spans two encodes."""
+    size = enumeration_size(rule, s, m)
+    # checked before the m! orders are listed
+    guard(size, DEFAULT_ENUM_GUARD, f"{rule} walk combinations at m={m}")
+    if not size:  # no admissible choice: make no phase rows
+        return
+    K, z = _phase_grid(m)
+    # orange varies its step phase k[ell-1] last
+    step_rows = ({ell: _phase_last(K, ell) for ell in range(1, m + 1)}
+                 if rule_entry(rule).phase_last else {})
+    per_block = max(1, WALK_BLOCK_BYTES // (_row_bytes(m, seed) * len(K)))
+    for params, orders, r0, ell in _walk(rule, s, m, seed, distinct):
+        rows = step_rows.get(ell, K)
+        for lo in range(0, len(orders), per_block):
+            part = slice(lo, lo + per_block)
+            block = _members(r0[part], orders[part], rows, z)
+            block.flags.writeable = False
+            yield params, orders[part], rows, z, block
+            del block  # not held while the next block is made
 
 
 def _phase_last(K: np.ndarray, ell: int) -> np.ndarray:
@@ -571,13 +601,25 @@ def distinct_blocks(rule, s, m, *, seed=None) -> Iterator[np.ndarray]:
     row's.  Each (choice, ell, pi) group of the walk is 4^(m+1) distinct
     words, equal to or disjoint from every other group (``_canonical``), so
     the distinct rows are the rows of the groups whose key no earlier group
-    has: only their members are made, and no row is stored.  ValueError when a
-    seed sequence is zero at 12 decimals.
+    has: only their members are made, and no row is stored.  GuardError as
+    for ``enumerate_rule``; ValueError when a seed sequence is zero at 12
+    decimals.
     """
-    for *_, values in _walk(rule, s, m, seed, distinct=True):
+    for *_, values in _blocks(rule, s, m, seed, distinct=True):
         yield values
 
 
 def distinct_sequences(rule, s, m, *, seed=None) -> int:
-    """Number of distinct first outputs over the full enumeration."""
-    return sum(map(len, distinct_blocks(rule, s, m, seed=seed)))
+    """Number of distinct first outputs over the full enumeration.
+
+    4^(m+1) words for each group whose key no earlier group has, as in
+    ``distinct_blocks``, counted by key: no member is made.  Raises
+    GuardError before any encode when the keys of all (choice, ell, pi)
+    cells would exceed WALK_KEY_BYTES; ValueError when a seed sequence is
+    zero at 12 decimals.
+    """
+    group = 4 ** (m + 1)
+    cells = enumeration_size(rule, s, m) // group
+    # checked before the m! orders are listed
+    guard(cells * _row_bytes(m, seed), WALK_KEY_BYTES, f"{rule} walk key bytes at m={m}")
+    return group * sum(len(orders) for _, orders, *_ in _walk(rule, s, m, seed, distinct=True))

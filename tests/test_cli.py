@@ -627,6 +627,25 @@ def test_enumerate_dedup(capsys):
     assert report["dedup_matches_formula"] is True
 
 
+# the member walks refuse these (5.9e7 to 5.7e8 combinations); the count admits them
+@pytest.mark.parametrize("rule, s, m, n", [
+    ("yellow", 2, 6, 1), ("blue", 2, 6, 1), ("orange", 2, 6, 1), ("cyan", 3, 5, 1),
+    ("green", 1, 7, 1), ("yellow", 2, 3, 4),
+])
+def test_enumerate_dedup_reports_its_groups(capsys, rule, s, m, n):
+    code, out, err = run_cli(capsys, "enumerate", "--rule", rule, "--s", str(s), "--m", str(m),
+                             "--N", str(n), "--dedup")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["dedup"] == report["count"] and report["dedup_matches_formula"] is True
+    group = 4 ** (m + 1)
+    assert report["dedup"] == report["distinct_groups"] * group
+    assert report["groups"] * group == qam.enumeration_size(rule, s, m)
+    assert report["distinct_groups"] <= report["groups"]
+    # the two keys follow the parent's report
+    assert list(report)[-4:] == ["dedup", "dedup_matches_formula", "groups", "distinct_groups"]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerate_dedup_walks_the_stock_seed(capsys, n):
     code, out, _ = run_cli(capsys, "enumerate", "--rule", "yellow", "--s", "2", "--m", "2",
@@ -688,7 +707,8 @@ def test_enumerate_bounds_report_digits(capsys, argv, name):
 
 
 def test_enumerate_guard_exit(capsys, monkeypatch):
-    monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 16)
+    # the count reads the key guard: 2 cells of 64-byte keys
+    monkeypatch.setattr(qam, "WALK_KEY_BYTES", 16)
     code, _, err = run_cli(
         capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"
     )

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,9 +240,10 @@ def test_single_variable_counts_undercount():
 def test_enumeration_guard(monkeypatch):
     # the guard is read when the walk starts
     monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 10)
-    with pytest.raises(GuardError):
-        list(enumerate_rule("green", 1, 2))
-    monkeypatch.setattr(qam, "DEFAULT_ENUM_GUARD", 1000)
+    for walk in (enumerate_rule, distinct_blocks):
+        with pytest.raises(GuardError, match="combinations at m=2: 128 exceeds"):
+            list(walk("green", 1, 2))
+    # the count reads WALK_KEY_BYTES instead
     assert distinct_sequences("green", 1, 2) == 64
 
 
@@ -593,7 +596,7 @@ def test_distinct_walk_encodes_no_earlier_group(monkeypatch, rule, s, m, n_seed)
 
     monkeypatch.setattr(qam, "encode_family", encode_spy)
     monkeypatch.setattr(qam, "_members", members_spy)
-    walk = qam._walk(rule, s, m, seed, distinct=True)
+    walk = qam._blocks(rule, s, m, seed, distinct=True)
     assert [_cell(params, pi) for params, orders, *_ in walk for pi in orders] == first
     # each cell's first output is encoded once; only the first cells' are turned
     assert encoded == cells
@@ -651,3 +654,64 @@ def test_distinct_walk_peak_does_not_grow_with_the_walk():
             tracemalloc.stop()
         assert peak <= bound
     assert 122_880 * 16 * 16 > 7 * bound
+
+
+def _dedup_pool():
+    """The (rule, s, m) jobs of the benchmark's family-dedup workload, read from its source."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "DEDUP_POOL")
+
+
+def test_count_makes_no_members(monkeypatch):
+    def members_spy(*args):
+        raise AssertionError("the count made members")
+
+    monkeypatch.setattr(qam, "_members", members_spy)
+    assert distinct_sequences("yellow", 2, 3) == count_sequences("yellow", 2, 3).count
+    assert distinct_sequences("cyan", 3, 2, seed=known_seed(4)) == count_sequences(
+        "cyan", 3, 2, "N>1").count
+
+
+@pytest.mark.parametrize("rule, s, m, n_seed", [
+    *((rule, s, m, 1) for rule, s, m in _dedup_pool()),
+    *((rule, 3 if rule == "cyan" else 2, m, n) for rule in qam.RULES for m in (1, 2, 3)
+      for n in (1, 2, 3, 4)),
+])
+def test_count_equals_the_member_walk(rule, s, m, n_seed):
+    seed = known_seed(n_seed)
+    rows = sum(map(len, distinct_blocks(rule, s, m, seed=seed)))
+    assert rows and distinct_sequences(rule, s, m, seed=seed) == rows
+
+
+# each exits 3 as a member walk: 5.9e7 to 5.7e8 combinations
+@pytest.mark.parametrize("rule, s, m", [
+    ("yellow", 2, 6), ("blue", 2, 6), ("orange", 2, 6), ("cyan", 3, 5), ("green", 1, 7),
+])
+def test_count_admits_walks_the_member_walk_refuses(rule, s, m):
+    assert qam.enumeration_size(rule, s, m) > qam.DEFAULT_ENUM_GUARD
+    assert distinct_sequences(rule, s, m) == count_sequences(rule, s, m).count
+    for walk in (enumerate_rule, distinct_blocks):
+        with pytest.raises(GuardError, match="combinations"):
+            next(walk(rule, s, m))
+
+
+def test_count_guards_the_key_bytes(monkeypatch):
+    # green s=1 m=2: 2 cells, each a 64-byte key
+    monkeypatch.setattr(qam, "WALK_KEY_BYTES", 127)
+    with pytest.raises(GuardError, match="key bytes at m=2: 128 exceeds the guard limit of 127"):
+        distinct_sequences("green", 1, 2)
+    monkeypatch.setattr(qam, "WALK_KEY_BYTES", 128)
+    assert distinct_sequences("green", 1, 2) == 64
+
+
+def test_count_peak_stays_near_one_encode():
+    # green s=1 m=7: one group of 5,040 orders, encoded in runs of 64, and
+    # 5.2 MB of distinct keys; as one encode the walk's traced peak was 79 MB
+    tracemalloc.start()
+    try:
+        assert distinct_sequences("green", 1, 7) == count_sequences("green", 1, 7).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
