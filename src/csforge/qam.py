@@ -77,8 +77,12 @@ _SCALE = 4.0 / (2.0 * math.pi)
 DEFAULT_ENUM_GUARD = 10_000_000
 
 # Most bytes of group keys the counting walk may hold: one 16 * N * 2^m byte
-# key per (choice, ell, pi) cell, 256 MiB
+# key per (choice, ell, pi) cell and _KEY_OVERHEAD beside it, 256 MiB
 WALK_KEY_BYTES = 1 << 28
+
+# Bytes a held key costs beyond its own: its bytes object's header and its
+# slot in the set of seen keys, 63-75 measured, with room for the set's growth
+_KEY_OVERHEAD = 128
 
 # About how many bytes of first outputs one encode of the walk writes (one
 # order at least), and the most bytes of members in one of its
@@ -284,14 +288,18 @@ class RuleEntry(NamedTuple):
     def choices(self, s: int) -> list[dict]:
         """Every admissible choice of indices and binary knobs at ``s``, in
         walk order: the indices lexicographically, then the binary knobs."""
+        return list(self.iter_choices(s))
+
+    def iter_choices(self, s: int) -> Iterator[dict]:
+        """``choices``, one at a time."""
         names = self.indices + tuple(name for name, _ in self.binary)
         knob_values = list(itertools.product(*(values for _, values in self.binary)))
-        return [
+        return (
             dict(zip(names, point + values))
             for point in itertools.product(range(1, s + 1), repeat=len(self.indices))
             if self.admits is None or self.admits(*point)
             for values in knob_values
-        ]
+        )
 
     @property
     def build(self) -> Callable[..., EncoderParams]:
@@ -480,23 +488,24 @@ def _walk(rule, s, m, seed, distinct):
     ``distinct``, only the groups whose ``_canonical`` key no earlier group
     has.  One encode gives the first outputs of about WALK_BLOCK_BYTES of
     groups under every order, or of one group under a run of its orders
-    when all m! of them take more.
+    when all m! of them take more.  The params are built one encode's
+    groups at a time, so the walk holds no list of all of them.
     """
     entry = rule_entry(rule)
     ells = range(1, m + 1) if entry.has_ell else (None,)
-    groups = [(entry.build(**choice, **({"ell": ell} if ell else {}), s=s, m=m, pi=None,
+    groups = ((entry.build(**choice, **({"ell": ell} if ell else {}), s=s, m=m, pi=None,
                            k=None, z=0, seed=seed), ell)
-              for choice in entry.choices(s) for ell in ells]
-    if not groups:  # no admissible choice: list no orders
+              for choice in entry.iter_choices(s) for ell in ells)
+    cells = max(1, WALK_BLOCK_BYTES // _row_bytes(m, seed))  # (group, order) cells an encode
+    n_orders = math.factorial(m)
+    per_encode, per_order = max(1, cells // n_orders), min(cells, n_orders)
+    batch = list(itertools.islice(groups, per_encode))
+    if not batch:  # no admissible choice: list no orders
         return
     pis = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.intp)
     pis.flags.writeable = False
-    cells = max(1, WALK_BLOCK_BYTES // _row_bytes(m, seed))  # (group, order) cells an encode
-    per_encode = max(1, cells // len(pis))
-    per_order = min(cells, len(pis))
     seen: set[bytes] = set()
-    for first in range(0, len(groups), per_encode):
-        batch = groups[first : first + per_encode]
+    while batch:
         for lo in range(0, len(pis), per_order):
             orders = pis[lo : lo + per_order]
             base = encode_family([params for params, _ in batch], orders)
@@ -507,6 +516,7 @@ def _walk(rule, s, m, seed, distinct):
                     seen.add(key)
             for (params, ell), r0, mine in zip(batch, np.split(base, len(batch)), kept):
                 yield params, orders[mine], r0[mine], ell
+        batch = list(itertools.islice(groups, per_encode))
 
 
 def _blocks(rule, s, m, seed, distinct):
@@ -615,11 +625,12 @@ def distinct_sequences(rule, s, m, *, seed=None) -> int:
     4^(m+1) words for each group whose key no earlier group has, as in
     ``distinct_blocks``, counted by key: no member is made.  Raises
     GuardError before any encode when the keys of all (choice, ell, pi)
-    cells would exceed WALK_KEY_BYTES; ValueError when a seed sequence is
-    zero at 12 decimals.
+    cells, each with _KEY_OVERHEAD, would exceed WALK_KEY_BYTES; ValueError
+    when a seed sequence is zero at 12 decimals.
     """
     group = 4 ** (m + 1)
     cells = enumeration_size(rule, s, m) // group
-    # checked before the m! orders are listed
-    guard(cells * _row_bytes(m, seed), WALK_KEY_BYTES, f"{rule} walk key bytes at m={m}")
+    # checked before any rule is built or the m! orders are listed
+    guard(cells * (_row_bytes(m, seed) + _KEY_OVERHEAD), WALK_KEY_BYTES,
+          f"{rule} walk key bytes at m={m}")
     return group * sum(len(orders) for _, orders, *_ in _walk(rule, s, m, seed, distinct=True))

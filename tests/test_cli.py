@@ -707,7 +707,7 @@ def test_enumerate_bounds_report_digits(capsys, argv, name):
 
 
 def test_enumerate_guard_exit(capsys, monkeypatch):
-    # the count reads the key guard: 2 cells of 64-byte keys
+    # the count reads the key guard: 2 cells of 64-byte keys and their overhead
     monkeypatch.setattr(qam, "WALK_KEY_BYTES", 16)
     code, _, err = run_cli(
         capsys, "enumerate", "--rule", "green", "--s", "1", "--m", "2", "--dedup"
@@ -725,6 +725,20 @@ def test_enumerate_dedup_refuses_many_orders_at_once(capsys):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "guard" in err
+
+
+def test_enumerate_dedup_refuses_many_small_keys(capsys, monkeypatch):
+    # green s=2896 m=1: 8.4M cells of 32-byte keys, 268 MB of key bytes alone
+    # and several GB with the objects that hold them; refused before any build
+    def build_spy(*args, **kwargs):
+        raise AssertionError("the refused count built params")
+
+    monkeypatch.setattr(qam, "green_params", build_spy)
+    code, out, err = run_cli(capsys, "enumerate", "--rule", "green", "--s", "2896", "--m", "1",
+                             "--dedup")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "green walk key bytes at m=1" in err
 
 
 def test_enumerate_dedup_without_choices_lists_no_orders(capsys):

@@ -648,7 +648,7 @@ def test_distinct_walk_peak_does_not_grow_with_the_walk():
     for m, distinct in ((3, 6144), (4, 122_880)):
         tracemalloc.start()
         try:
-            assert distinct_sequences("yellow", 2, m) == distinct
+            assert sum(map(len, distinct_blocks("yellow", 2, m))) == distinct
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -684,25 +684,25 @@ def test_count_equals_the_member_walk(rule, s, m, n_seed):
     assert rows and distinct_sequences(rule, s, m, seed=seed) == rows
 
 
-# each exits 3 as a member walk: 5.9e7 to 5.7e8 combinations
+# 5.9e7 to 5.7e8 combinations: the count admits these (tests/test_cli.py)
 @pytest.mark.parametrize("rule, s, m", [
     ("yellow", 2, 6), ("blue", 2, 6), ("orange", 2, 6), ("cyan", 3, 5), ("green", 1, 7),
 ])
-def test_count_admits_walks_the_member_walk_refuses(rule, s, m):
-    assert qam.enumeration_size(rule, s, m) > qam.DEFAULT_ENUM_GUARD
-    assert distinct_sequences(rule, s, m) == count_sequences(rule, s, m).count
+def test_member_walks_refuse_what_the_count_admits(rule, s, m):
     for walk in (enumerate_rule, distinct_blocks):
         with pytest.raises(GuardError, match="combinations"):
             next(walk(rule, s, m))
 
 
 def test_count_guards_the_key_bytes(monkeypatch):
-    # green s=1 m=2: 2 cells, each a 64-byte key
-    monkeypatch.setattr(qam, "WALK_KEY_BYTES", 127)
-    with pytest.raises(GuardError, match="key bytes at m=2: 128 exceeds the guard limit of 127"):
+    # green s=1 m=2: 2 cells, each a 64-byte key and its overhead
+    held = 2 * (64 + qam._KEY_OVERHEAD)
+    monkeypatch.setattr(qam, "WALK_KEY_BYTES", held - 1)
+    with pytest.raises(GuardError, match=f"key bytes at m=2: {held} exceeds the guard limit"):
         distinct_sequences("green", 1, 2)
-    monkeypatch.setattr(qam, "WALK_KEY_BYTES", 128)
+    monkeypatch.setattr(qam, "WALK_KEY_BYTES", held)
     assert distinct_sequences("green", 1, 2) == 64
+
 
 
 def test_count_peak_stays_near_one_encode():
