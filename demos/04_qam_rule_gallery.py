@@ -13,16 +13,16 @@ from csforge import encode_pair, is_gcp, qam
 S = 4
 M = 3
 
-specs = {
-    "green": qam.RuleSpec(rule="green", u=1, v=2),
-    "yellow": qam.RuleSpec(rule="yellow", u=1, v=2, ell=M),
-    "blue": qam.RuleSpec(rule="blue", u=1, v=2, w=1, ell=M),
-    "cyan": qam.RuleSpec(rule="cyan", u=2, t=1, v=4, w=2, ell=M),
-    "orange": qam.RuleSpec(rule="orange", u=2, v=1, ell=M),
+knobs = {
+    "green": dict(u=1, v=2),
+    "yellow": dict(u=1, v=2, ell=M),
+    "blue": dict(u=1, v=2, w=1, ell=M),
+    "cyan": dict(u=2, t=1, v=4, w=2, ell=M),
+    "orange": dict(u=2, v=1, ell=M),
 }
 
-for name, spec in specs.items():
-    params = qam.rule_params(spec, s=S, m=M)
+for name, rule_knobs in knobs.items():
+    params = qam.rule_params(name, s=S, m=M, **rule_knobs)
     result = encode_pair(params)
     points = sorted(
         set(np.round(qam.to_lattice(result.c.values), 6)),

@@ -31,7 +31,6 @@ from .encoder import (
     run_recursion,
 )
 from .qam import (
-    RuleSpec,
     count_sequences,
     distinct_blocks,
     distinct_sequences,
@@ -59,7 +58,6 @@ __all__ = [
     "GuardError",
     "PowerTrace",
     "RecursionParams",
-    "RuleSpec",
     "SeedPair",
     "SimReport",
     "apac",

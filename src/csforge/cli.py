@@ -91,6 +91,17 @@ def params_to_dict(p: EncoderParams) -> dict:
 _PARAM_FIELDS = tuple(field.name for field in dataclasses.fields(EncoderParams))
 
 
+def _seed_pair(doc) -> SeedPair:
+    """A seed pair from its JSON form: an object with 'a' and 'b' complex arrays."""
+    if not isinstance(doc, dict) or not {"a", "b"} <= doc.keys():
+        raise ValueError("seed pair must be a JSON object with 'a' and 'b' arrays")
+    a, b = _complex_from_json(doc["a"]), _complex_from_json(doc["b"])
+    try:
+        return SeedPair(a, b)
+    except ValueError as exc:
+        raise ValueError(f"bad seed pair: {exc}") from exc
+
+
 def params_from_dict(doc: dict) -> EncoderParams:
     """Encoder params from a parameter document; a missing or null knob takes its default."""
     try:
@@ -100,11 +111,7 @@ def params_from_dict(doc: dict) -> EncoderParams:
     if "m" not in knobs or "H" not in knobs:
         raise ValueError("params need integer m and H")
     if "seed" in knobs:
-        try:
-            a, b = knobs["seed"]["a"], knobs["seed"]["b"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"params seed needs 'a' and 'b' arrays: {exc!r}") from exc
-        knobs["seed"] = SeedPair(_complex_from_json(a), _complex_from_json(b))
+        knobs["seed"] = _seed_pair(knobs["seed"])
     try:
         return EncoderParams(**knobs)
     except (TypeError, OverflowError) as exc:
@@ -234,50 +241,43 @@ def _float_list(text: str) -> tuple[float, ...]:
 _LIST_KNOBS = (("pi", _int_list), ("e", _float_list), ("k", _float_list), ("d", _int_list))
 
 
-def _seed_from_args(args) -> SeedPair | None:
-    if getattr(args, "seed_pair", None):
-        doc = _load_json(args.seed_pair)
-        if not isinstance(doc, dict):
-            raise ValueError("seed pair must be a JSON object with 'a' and 'b' arrays")
-        try:
-            a, b = _complex_from_json(doc["a"]), _complex_from_json(doc["b"])
-        except KeyError as exc:
-            raise ValueError(f"bad seed pair: {exc}") from exc
-        try:
-            return SeedPair(a, b)
-        except ValueError as exc:
-            raise ValueError(f"bad seed pair: {exc}") from exc
-    return None
+def _rule_sizes(args) -> None:
+    """Refuse a ``--rule`` command without positive ``--s`` and ``--m``."""
+    if args.m is None or args.s is None:
+        raise ValueError("--rule needs --m and --s")
+    if args.m < 1 or args.s < 1:
+        raise ValueError("s and m must be positive")
 
 
-def _rule_spec_from_args(args) -> qam.RuleSpec:
-    names = qam.rule_entry(args.rule).indices
+def _rule_knobs(args) -> dict:
+    """The ``--rule`` flags as ``qam.rule_params`` knobs: the indices, then
+    the knobs the rule reads, with ``--ell`` defaulting to ``--m``."""
+    entry = qam.rule_entry(args.rule)
     indices = _int_list(args.indices) if args.indices else ()
-    if len(indices) != len(names):
-        raise ValueError(f"{args.rule} rule needs --indices {','.join(names)}")
-    return qam.RuleSpec(
-        rule=args.rule,
-        **dict(zip(names, indices)),
-        ell=args.ell if args.ell is not None else (args.m or 1),
-        sign_a=args.sign,
-        sign_b=args.sign_b,
-        z=args.z,
-        k=_float_list(args.k) if args.k else (),
-    )
+    if len(indices) != len(entry.indices):
+        raise ValueError(f"{args.rule} rule needs --indices {','.join(entry.indices)}")
+    flags = {"ell": args.m if args.ell is None else args.ell, "z": args.z,
+             "sign_a": args.sign, "sign_b": args.sign_b}
+    # a flag the rule does not read is dropped, not refused: the benchmark's
+    # ladder (perfbench/workloads.py) passes all four to every rule
+    return {**dict(zip(entry.indices, indices)),
+            **{name: flags[name] for name in entry.knobs if name in flags}}
+
+
+def _seed_from_args(args) -> SeedPair | None:
+    return _seed_pair(_load_json(args.seed_pair)) if args.seed_pair else None
 
 
 def _params_from_args(args) -> EncoderParams:
     if args.params:
-        doc = _load_json(args.params)
-        return params_from_dict(doc)
+        return params_from_dict(_load_json(args.params))
     if args.rule:
-        if not args.m:
-            raise ValueError("--rule needs --m")
-        if not args.s:
-            raise ValueError("--rule needs --s")
-        spec = _rule_spec_from_args(args)
+        _rule_sizes(args)
+        knobs = _rule_knobs(args)
+        k = _float_list(args.k or "") or None  # "--k ," gives no k
         pi = _int_list(args.pi) if args.pi else None
-        return qam.rule_params(spec, args.s, args.m, pi=pi, seed=_seed_from_args(args))
+        return qam.rule_params(args.rule, args.s, args.m, pi=pi, k=k,
+                               seed=_seed_from_args(args), **knobs)
     if not args.m or not args.H:
         raise ValueError("need --params, --rule, or both --m and --H")
     knobs = {name: parse(text) for name, parse in _LIST_KNOBS if (text := getattr(args, name))}
@@ -424,10 +424,7 @@ def _codebook_from_args(args) -> np.ndarray:
                                  f"entries, word {index} has {len(word)}")
         return np.asarray(words, dtype=complex)
     if args.rule:
-        if args.m is None or args.s is None:
-            raise ValueError("--rule codebooks need --m and --s")
-        if args.m < 1 or args.s < 1:
-            raise ValueError("s and m must be positive")
+        _rule_sizes(args)
         guard(args.m, _SIM_MAX_VARS, "m of a simulate --rule codebook")
         if not qam.enumeration_size(args.rule, args.s, args.m):
             first = next(s for s in itertools.count(args.s + 1)

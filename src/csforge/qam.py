@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "RULES",
     "RuleCount",
     "RuleEntry",
-    "RuleSpec",
     "WALK_BLOCK_BYTES",
     "WALK_KEY_BYTES",
     "blue_params",
@@ -156,11 +154,14 @@ def on_lattice(values, s: int, tol: float = QAM_POINT_TOL) -> bool:
 # -- rule parameter builders -------------------------------------------------
 
 
-def _admit(rule, s, m, indices, ell=None, z=0, **binary) -> None:
+def _admit(rule, s, m, indices, ell=None, z=0, **binary):
     """Refuse what the table record of ``rule`` does not admit: indices
     outside 1..s or failing the record's predicate, a binary knob outside
     its values (only booleans for a boolean knob, only numbers for a sign),
-    ell outside 1..m or m above MAX_ENCODE_VARS, and a non-finite z."""
+    ell outside 1..m or m above MAX_ENCODE_VARS, and a non-finite z.
+
+    Returns z, an integral one reduced mod 4 exactly: z and z + 4 are the
+    same quadrant, and a z no float holds would be rounded in the sums."""
     entry = _RULE_TABLE[rule]
     for name, value in zip(entry.indices, indices):
         if not 1 <= value <= s:
@@ -176,12 +177,12 @@ def _admit(rule, s, m, indices, ell=None, z=0, **binary) -> None:
             raise ValueError(f"ell={ell} out of range 1..{m}")
         if m > MAX_ENCODE_VARS:  # refused before the builder makes lists of m steps
             raise ValueError(f"m must be in 1..{MAX_ENCODE_VARS}")
-    finite(z, "z")
+    return z % RULE_MODULUS if finite(z, "z").is_integer() else z
 
 
 def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """One radius for all elements: scale by gamma, rotate onto the point."""
-    _admit("green", s, m, (u, v), z=z)
+    z = _admit("green", s, m, (u, v), z=z)
     g = lattice_geometry(u, v)
     const = z - _SCALE * g.phi
     return EncoderParams(
@@ -227,7 +228,7 @@ def _rotated(u, v, sign) -> tuple[float, float]:
 
 def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """Two diagonal radii: the halves are scaled independently at step ell."""
-    _admit("yellow", s, m, (u, v), ell, z)
+    z = _admit("yellow", s, m, (u, v), ell, z)
     return _two_halves(ell, m, pi, k, z, seed, _diagonal(u), _diagonal(v))
 
 
@@ -235,7 +236,7 @@ def blue_params(
     s, u, v, w, ell, m, pi=None, k=None, z=0, sign_a=1, rotate_b_half=True, seed=None
 ) -> EncoderParams:
     """One diagonal radius and one off-diagonal point: rotate a single half."""
-    _admit("blue", s, m, (u, v, w), ell, z, sign_a=sign_a, rotate_b_half=rotate_b_half)
+    z = _admit("blue", s, m, (u, v, w), ell, z, sign_a=sign_a, rotate_b_half=rotate_b_half)
     halves = _diagonal(u), _rotated(v, w, sign_a)
     return _two_halves(ell, m, pi, k, z, seed, *(halves if rotate_b_half else halves[::-1]))
 
@@ -244,7 +245,7 @@ def cyan_params(
     s, u, t, v, w, ell, m, pi=None, k=None, z=0, sign_a=1, sign_b=1, seed=None
 ) -> EncoderParams:
     """Two distinct off-diagonal points, one per half, each with its rotation."""
-    _admit("cyan", s, m, (u, t, v, w), ell, z, sign_a=sign_a, sign_b=sign_b)
+    z = _admit("cyan", s, m, (u, t, v, w), ell, z, sign_a=sign_a, sign_b=sign_b)
     return _two_halves(ell, m, pi, k, z, seed, _rotated(u, t, sign_a), _rotated(v, w, sign_b))
 
 
@@ -253,7 +254,7 @@ def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) ->
 
     The step phase k[ell-1] is the quadrant offset of the mirror rotation.
     """
-    _admit("orange", s, m, (u, v), ell, z, sign_a=sign_a)
+    z = _admit("orange", s, m, (u, v), ell, z, sign_a=sign_a)
     g = lattice_geometry(u, v)
     phases = list(finite_steps(k, m, "k"))
     phases[ell - 1] -= sign_a * _SCALE * g.mu
@@ -282,7 +283,7 @@ class RuleEntry(NamedTuple):
 
     @property
     def knobs(self) -> tuple[str, ...]:
-        """The RuleSpec fields the builder reads besides the indices."""
+        """The knobs the builder reads besides the indices."""
         return ("ell",) * self.has_ell + ("z",) + tuple(name for name, _ in self.binary)
 
     def choices(self, s: int) -> list[dict]:
@@ -349,28 +350,25 @@ def rule_entry(rule: str) -> RuleEntry:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}") from None
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """Declarative form of one rule choice, convertible to encoder params."""
+def rule_params(rule: str, s: int, m: int, *, pi=None, k=None, seed=None,
+                **knobs) -> EncoderParams:
+    """Encoder parameters of one rule choice (modulus fixed at 4).
 
-    rule: str
-    u: int = 1
-    v: int = 1
-    w: int = 1
-    t: int = 1
-    ell: int = 1
-    sign_a: int = 1
-    sign_b: int = 1
-    rotate_b_half: bool = True
-    z: int = 0
-    k: tuple = ()
-
-
-def rule_params(spec: RuleSpec, s: int, m: int, pi=None, seed=None) -> EncoderParams:
-    """Build encoder parameters from a rule spec (modulus fixed at 4)."""
-    entry = rule_entry(spec.rule)
-    knobs = {name: getattr(spec, name) for name in entry.indices + entry.knobs}
-    return entry.build(s=s, m=m, pi=pi, k=spec.k or None, seed=seed, **knobs)
+    ``knobs`` are the rule's lattice indices and the knobs its table record
+    lists (``rule_entry(rule).knobs``); the indices and, on a rule with a
+    step, ``ell`` are required, and the others take the builder's defaults.
+    ValueError naming the knob for any other knob or a missing one, before
+    the builder runs.
+    """
+    entry = rule_entry(rule)
+    for name in knobs:
+        if name not in entry.indices + entry.knobs:
+            raise ValueError(f"{rule} rule reads no knob {name!r}; "
+                             f"it reads {', '.join(entry.indices + entry.knobs)}")
+    for name in entry.indices + ("ell",) * entry.has_ell:
+        if name not in knobs:
+            raise ValueError(f"{rule} rule needs {name}")
+    return entry.build(s=s, m=m, pi=pi, k=k, seed=seed, **knobs)
 
 
 # -- family counting ---------------------------------------------------------

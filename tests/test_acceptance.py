@@ -187,14 +187,15 @@ def test_criterion_07_alphabet_closure():
                 continue  # no admissible indices (cyan needs two distinct points)
             for _ in range(100):
                 combo = combos[rng.integers(len(combos))]
-                spec = qam.RuleSpec(
-                    rule=rule, **combo, ell=int(rng.integers(1, m + 1)), z=int(rng.integers(4)),
-                    k=tuple(int(x) for x in rng.integers(0, 4, m)),
-                )
+                ell = int(rng.integers(1, m + 1))
+                knobs = dict(combo, z=int(rng.integers(4)),
+                             k=tuple(int(x) for x in rng.integers(0, 4, m)))
+                if qam.rule_entry(rule).has_ell:
+                    knobs["ell"] = ell
                 pi = tuple(int(x) for x in rng.permutation(np.arange(1, m + 1)))
-                values = encode_pair(qam.rule_params(spec, s, m, pi=pi)).c.values
+                values = encode_pair(qam.rule_params(rule, s, m, pi=pi, **knobs)).c.values
                 if not qam.on_lattice(values, s, tol=1e-6):
-                    gate.finish(False, f"{rule} s={s} spec={spec}")
+                    gate.finish(False, f"{rule} s={s} knobs={knobs}")
             covered.append(f"{rule}/s={s}")
     gate.finish(True, f"100 draws each: {', '.join(covered)}")
 

@@ -468,6 +468,43 @@ def test_float_arrays_are_written_as_json_writes_their_list(pool, picks, allow_n
         assert cli._floats_text(values, dumps) == expected
 
 
+@pytest.mark.parametrize("seed, message", [
+    ({}, "seed pair must be a JSON object with 'a' and 'b' arrays"),
+    ([1], "seed pair must be a JSON object with 'a' and 'b' arrays"),
+    ({"a": {"re": [1], "im": [0]}}, "seed pair must be a JSON object with 'a' and 'b' arrays"),
+    ({"a": {"re": [1], "im": [0]}, "b": {"re": ["1"], "im": [0]}}, "numbers only"),
+    ({"a": {"re": [1], "im": [0]}, "b": {"re": [1, 1], "im": [0, 0]}}, "bad seed pair: seed lengths"),
+    ({"a": {"re": [1, 1], "im": [0, 0]}, "b": {"re": [1, 1], "im": [0, 0]}}, "not complementary"),
+])
+def test_seed_documents_share_one_parser(tmp_path, capsys, seed, message):
+    # a seed in a parameter document and a --seed-pair file are refused alike
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps(seed))
+    via_params = run_cli(capsys, "encode", "--params",
+                         write_params(tmp_path, {**multilevel_doc(), "seed": seed}))
+    via_file = run_cli(capsys, "encode", "--m", "3", "--H", "4", "--seed-pair", str(seed_file))
+    assert via_params == via_file
+    code, out, err = via_file
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("rule", qam.RULES)
+def test_encode_rule_reads_an_integral_z_mod_4(capsys, rule):
+    # 10**21 + 1 was rounded to the float 1e21, and 5 gave other float sums than 1
+    entry = qam.rule_entry(rule)
+    choice = entry.choices(4)[-1]
+    indices = ",".join(str(choice[name]) for name in entry.indices)
+    outs = set()
+    for z in (1, 5, -3, 10**21 + 1):
+        code, out, err = run_cli(capsys, "encode", f"--rule={rule}", "--s=4", "--m=3",
+                                 f"--indices={indices}", f"--z={z}")
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+
+
 def test_encode_validation_failure(tmp_path, capsys):
     doc = multilevel_doc()
     doc["seed"] = {"a": {"re": [1, 1], "im": [0, 0]}, "b": {"re": [1, 1], "im": [0, 0]}}
@@ -946,13 +983,14 @@ def test_simulate_rejects_nan_and_minus_inf(capsys, ebn0):
 @pytest.mark.parametrize("flag, value", [("--m", "-3"), ("--m", "0"), ("--s", "0"), ("--s", "-2")])
 def test_simulate_rule_refuses_m_and_s_below_one(capsys, flag, value):
     sizes = {"--s": "2", "--m": "2", flag: value}
-    code, out, err = run_cli(
-        capsys, "simulate", "--rule", "green", *(x for kv in sizes.items() for x in kv),
-        "--ebn0", "inf", "--trials", "10",
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: s and m must be positive\n"
+    # encode --rule runs the same check, before it reads --indices
+    for command in (["simulate", "--ebn0", "inf", "--trials", "10"], ["encode"]):
+        code, out, err = run_cli(
+            capsys, *command, "--rule", "green", *(x for kv in sizes.items() for x in kv),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: s and m must be positive\n"
 
 
 @pytest.mark.parametrize("ebn0", ["4000", "-4000", "0,4000"])
@@ -1312,6 +1350,38 @@ def _infinity_only(name):
     if name != "Infinity":
         _no_constants(name)
     return math.inf
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_enumerate_fuzz(capsys, data):
+    # half the draws keep every value in range, so that exit 0 is common too;
+    # no mid-size s is drawn, since a --dedup walk at m = 1 admits s up to
+    # about 1,300, which takes tens of seconds
+    wide = data.draw(st.booleans(), label="out of range")
+
+    def draw(label, good, *bad):
+        return data.draw(st.one_of(good, st.sampled_from([0, -1, 10**2200, *bad]))
+                         if wide else good, label=label)
+
+    rule = data.draw(st.sampled_from(qam.RULES + ("total",)), label="rule")
+    s = draw("s", st.integers(1, 4))
+    m = draw("m", st.integers(1, 4), MAX_COUNT_VARS + 1)
+    n = draw("N", st.integers(1, 4), 5)
+    dedup = data.draw(st.booleans(), label="--dedup")
+    argv = ["enumerate", f"--rule={rule}", f"--s={s}", f"--m={m}", f"--N={n}"]
+    code, out, err = checked_run(capsys, argv + ["--dedup"] * dedup)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ")
+        return
+    report = json.loads(out)
+    assert (report["rule"], report["s"], report["m"], report["N"]) == (rule, s, m, n)
+    if dedup:
+        group = 4 ** (m + 1)
+        assert report["dedup"] == report["distinct_groups"] * group
+        assert report["groups"] * group == qam.enumeration_size(rule, s, m)
 
 
 # an Eb/N0 point: a level, the noiseless point (1e999 reads as inf), or one

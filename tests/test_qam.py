@@ -24,7 +24,6 @@ from csforge import (
     recursion_to_encoder,
 )
 from csforge.qam import (
-    RuleSpec,
     count_sequences,
     distinct_blocks,
     distinct_sequences,
@@ -120,10 +119,41 @@ def test_cyan_rule_reference_params():
 
 
 def test_rule_spec_dispatch_matches_builders():
-    spec = RuleSpec(rule="cyan", u=2, t=1, v=4, w=2, ell=2, sign_a=-1)
-    via_spec = rule_params(spec, s=4, m=3)
+    via_name = rule_params("cyan", s=4, m=3, u=2, t=1, v=4, w=2, ell=2, sign_a=-1)
     direct = qam.cyan_params(s=4, u=2, t=1, v=4, w=2, ell=2, m=3, sign_a=-1)
-    assert via_spec == direct
+    assert via_name == direct
+
+
+@pytest.mark.parametrize("rule", qam.RULES)
+def test_rule_params_matches_the_builder_on_every_choice(rule):
+    # every choice, every ell and both values of each binary knob, at s <= 4
+    # and m <= 3, with and without the order, steps and constant
+    entry = qam.rule_entry(rule)
+    for s, m in itertools.product(range(1, 5), range(1, 4)):
+        extras = ({}, {"pi": tuple(range(m, 0, -1)), "k": (1.5,) * m, "z": 3})
+        for choice, ell, extra in itertools.product(
+                entry.choices(s), range(1, m + 1) if entry.has_ell else (None,), extras):
+            knobs = {**choice, **({"ell": ell} if ell else {}), **extra}
+            assert rule_params(rule, s, m, **knobs) == entry.build(s=s, m=m, **knobs)
+
+
+@pytest.mark.parametrize("rule, knobs, named", [
+    ("green", {"u": 1, "v": 2, "ell": 3, "sign_a": -1}, "no knob 'ell'"),
+    ("green", {"u": 1, "v": 2, "sign_a": -1}, "no knob 'sign_a'"),
+    ("yellow", {"u": 1, "v": 2, "ell": 1, "w": 1}, "no knob 'w'"),
+    ("blue", {"u": 1, "v": 2, "w": 1, "ell": 1, "sign_b": 1}, "no knob 'sign_b'"),
+    ("orange", {"u": 2, "v": 1, "ell": 1, "rotate_b_half": True}, "no knob 'rotate_b_half'"),
+    ("cyan", {"u": 2, "t": 1, "v": 4, "ell": 1}, "needs w"),
+    ("green", {"v": 1}, "needs u"),
+    ("blue", {"u": 1, "v": 2, "w": 1}, "needs ell"),
+    ("orange", {"u": 2, "v": 1, "z": 1}, "needs ell"),
+])
+def test_rule_params_refuses_knobs_outside_the_record(monkeypatch, rule, knobs, named):
+    # refused before the builder runs
+    monkeypatch.setattr(qam, qam.rule_entry(rule).builder, lambda **_: pytest.fail("built"))
+    with pytest.raises(ValueError) as raised:
+        rule_params(rule, 4, 2, **knobs)
+    assert named in str(raised.value) and "\n" not in str(raised.value)
 
 
 def test_rule_index_constraints():
@@ -196,8 +226,8 @@ def test_rule_outputs_stay_on_lattice_and_complementary(rule):
             pi = tuple(int(x) for x in rng.permutation(np.arange(1, m + 1)))
             k = tuple(int(x) for x in rng.integers(0, 4, m))
             ell = int(rng.integers(1, m + 1))
-            spec = RuleSpec(rule=rule, **combo, ell=ell, z=int(rng.integers(4)), k=k)
-            params = rule_params(spec, s, m, pi=pi)
+            step = {"ell": ell} if qam.rule_entry(rule).has_ell else {}
+            params = rule_params(rule, s, m, pi=pi, k=k, z=int(rng.integers(4)), **combo, **step)
             res = encode_pair(params)
             assert on_lattice(res.c.values, s)
             assert is_gcp(res.c, res.d).ok
