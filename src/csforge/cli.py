@@ -73,22 +73,13 @@ def _complex_from_json(obj) -> np.ndarray:
     return values
 
 
-def params_to_dict(p: EncoderParams) -> dict:
-    return {
-        "m": p.m,
-        "H": p.H,
-        "pi": list(p.pi),
-        "e": list(p.e),
-        "e_prime": p.e_prime,
-        "k": list(p.k),
-        "k_prime": p.k_prime,
-        "k_dprime": p.k_dprime,
-        "d": list(p.d),
-        "seed": {"a": _complex_to_json(p.seed.a.values), "b": _complex_to_json(p.seed.b.values)},
-    }
-
-
 _PARAM_FIELDS = tuple(field.name for field in dataclasses.fields(EncoderParams))
+
+
+def params_to_dict(p: EncoderParams) -> dict:
+    """The parameter document of ``p``: each field, with the seed in its JSON form."""
+    seed = {"a": _complex_to_json(p.seed.a.values), "b": _complex_to_json(p.seed.b.values)}
+    return {**{name: getattr(p, name) for name in _PARAM_FIELDS}, "seed": seed}
 
 
 def _seed_pair(doc) -> SeedPair:
@@ -261,29 +252,47 @@ def _rule_knobs(args) -> dict:
     # a flag the rule does not read is dropped, not refused: the benchmark's
     # ladder (perfbench/workloads.py) passes all four to every rule
     return {**dict(zip(entry.indices, indices)),
-            **{name: flags[name] for name in entry.knobs if name in flags}}
+            **{name: flags[name] for name in entry.knobs if flags.get(name) is not None}}
 
 
-def _seed_from_args(args) -> SeedPair | None:
-    return _seed_pair(_load_json(args.seed_pair)) if args.seed_pair else None
+# The flags each parameter source reads, its own included, by command; any
+# other of these flags given beside the source is refused
+_SOURCE_READS = {
+    "encode": {
+        "--params": "--params",
+        "--rule": "--rule --s --m --indices --ell --sign --sign-b --z --pi --k --seed-pair",
+        "--m and --H": "--m --H --pi --e --e-prime --k --k-prime --k-dprime --d --seed-pair",
+    },
+    "simulate": {"--codebook": "--codebook", "--rule": "--rule --s --m"},
+}
+
+
+def _refuse_unread(args, source: str) -> None:
+    table = _SOURCE_READS[args.command]
+    for flag in " ".join(table.values()).split():
+        if flag not in table[source].split() and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is not read with {source}")
 
 
 def _params_from_args(args) -> EncoderParams:
     if args.params:
+        _refuse_unread(args, "--params")
         return params_from_dict(_load_json(args.params))
     if args.rule:
+        _refuse_unread(args, "--rule")
         _rule_sizes(args)
         knobs = _rule_knobs(args)
         k = _float_list(args.k or "") or None  # "--k ," gives no k
         pi = _int_list(args.pi) if args.pi else None
-        return qam.rule_params(args.rule, args.s, args.m, pi=pi, k=k,
-                               seed=_seed_from_args(args), **knobs)
-    if not args.m or not args.H:
+        seed = _seed_pair(_load_json(args.seed_pair)) if args.seed_pair else None
+        return qam.rule_params(args.rule, args.s, args.m, pi=pi, k=k, seed=seed, **knobs)
+    if args.m is None or args.H is None:
         raise ValueError("need --params, --rule, or both --m and --H")
-    knobs = {name: parse(text) for name, parse in _LIST_KNOBS if (text := getattr(args, name))}
-    knobs.update((name, value) for name in ("e_prime", "k_prime", "k_dprime")
-                 if (value := getattr(args, name)) is not None)
-    return EncoderParams(args.m, args.H, seed=_seed_from_args(args), **knobs)
+    _refuse_unread(args, "--m and --H")
+    lists = {name: parse(text) for name, parse in _LIST_KNOBS if (text := getattr(args, name))}
+    seed = (_load_json(args.seed_pair) or {}) if args.seed_pair else None  # null is refused
+    return params_from_dict({"m": args.m, "H": args.H, "e_prime": args.e_prime, "seed": seed,
+                             "k_prime": args.k_prime, "k_dprime": args.k_dprime, **lists})
 
 
 # -- subcommands --------------------------------------------------------------
@@ -409,6 +418,7 @@ def cmd_papr(args) -> int:
 
 def _codebook_from_args(args) -> np.ndarray:
     if args.codebook:
+        _refuse_unread(args, "--codebook")
         doc = _load_json(args.codebook)
         try:
             if isinstance(doc, dict):
@@ -424,6 +434,7 @@ def _codebook_from_args(args) -> np.ndarray:
                                  f"entries, word {index} has {len(word)}")
         return np.asarray(words, dtype=complex)
     if args.rule:
+        _refuse_unread(args, "--rule")
         _rule_sizes(args)
         guard(args.m, _SIM_MAX_VARS, "m of a simulate --rule codebook")
         if not qam.enumeration_size(args.rule, args.s, args.m):
@@ -479,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=_integer, help="lattice size parameter (4s^2 points)")
         p.add_argument("--indices", help="rule lattice indices, e.g. 2,1,4,2")
         p.add_argument("--ell", type=_integer, help="rule step index (default m)")
-        p.add_argument("--sign", type=_integer, default=1, choices=(1, -1))
-        p.add_argument("--sign-b", dest="sign_b", type=_integer, default=1, choices=(1, -1))
-        p.add_argument("--z", type=_integer, default=0, help="quadrant phase offset")
+        p.add_argument("--sign", type=_integer, choices=(1, -1))
+        p.add_argument("--sign-b", dest="sign_b", type=_integer, choices=(1, -1))
+        p.add_argument("--z", type=_integer, help="quadrant phase offset")
         p.add_argument("--m", type=_integer)
         p.add_argument("--H", type=_integer)
         p.add_argument("--pi", help="bit order, e.g. 2,1,3")

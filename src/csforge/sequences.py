@@ -88,10 +88,6 @@ class ComplexSequence:
         """Indices of exactly nonzero entries."""
         return np.flatnonzero(self.values != 0)
 
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
     def clusters(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive support indices as (start, stop) pairs.
 

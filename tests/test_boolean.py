@@ -132,6 +132,20 @@ def test_from_table_interpolates_exactly(m, data):
     assert np.array_equal(f.table(), np.asarray(values, dtype=float))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bits_to_index((0, 2)), "bits must be 0 or 1, got 2"),
+    (lambda: index_to_bits(4, 2), "index 4 out of range for m=2"),
+    (lambda: BooleanPolynomial(0, {}), "need at least one variable"),
+    (lambda: var(2, 3), "variable index 3 out of range for m=2"),
+    (lambda: BooleanPolynomial.from_table([1, 0, 1]), "table length must be a power of two"),
+    (lambda: var(2, 1) + var(3, 1), "variable counts differ"),
+    (lambda: var(2, 1) * var(3, 1), "variable counts differ"),
+])
+def test_out_of_range_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_immutability():
     f = var(2, 1)
     with pytest.raises(AttributeError):

@@ -177,6 +177,7 @@ def test_integer_lists_refuse_fractions(capsys, flag, value):
     # H beyond float range escaped as an OverflowError traceback
     (["--H", BEYOND_FLOAT], 2),
     (["--H", str(2**1024)], 2),
+    (["--e", "1,x"], 2),
 ])
 def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, "encode", "--m", "2", "--H", "4", *argv)
@@ -200,10 +201,11 @@ def test_encode_bad_knobs_exit_with_one_line(capsys, argv, code):
     {"d": [0.9, 0, 0]},
     {"H": 10**400},
     {"H": 2**1024},
+    [multilevel_doc()],
 ])
 def test_malformed_params_file_exits_2(tmp_path, capsys, change):
-    doc = multilevel_doc()
-    doc.update(change)
+    # a change that is no object replaces the whole document
+    doc = {**multilevel_doc(), **change} if isinstance(change, dict) else change
     code, out, err = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
     assert code == 2
     assert out == ""
@@ -475,6 +477,7 @@ def test_float_arrays_are_written_as_json_writes_their_list(pool, picks, allow_n
     ({"a": {"re": [1], "im": [0]}, "b": {"re": ["1"], "im": [0]}}, "numbers only"),
     ({"a": {"re": [1], "im": [0]}, "b": {"re": [1, 1], "im": [0, 0]}}, "bad seed pair: seed lengths"),
     ({"a": {"re": [1, 1], "im": [0, 0]}, "b": {"re": [1, 1], "im": [0, 0]}}, "not complementary"),
+    ({"a": {"re": [], "im": []}, "b": {"re": [], "im": []}}, "sequence must not be empty"),
 ])
 def test_seed_documents_share_one_parser(tmp_path, capsys, seed, message):
     # a seed in a parameter document and a --seed-pair file are refused alike
@@ -488,6 +491,65 @@ def test_seed_documents_share_one_parser(tmp_path, capsys, seed, message):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+# a value of each knob flag
+KNOB_FLAGS = {
+    "encode": {"--rule": "green", "--s": "3", "--m": "2", "--indices": "2,1,3,2", "--ell": "1",
+               "--sign": "-1", "--sign-b": "-1", "--z": "1", "--H": "4", "--pi": "2,1",
+               "--e": "0.5,0", "--e-prime": "0.25", "--k": "1,2", "--k-prime": "1",
+               "--k-dprime": "2", "--d": "1,0", "--seed-pair": "seed.json"},
+    "simulate": {"--rule": "green", "--s": "1", "--m": "1"},
+}
+# each parameter source: a command line that reads it, and the knob flags it reads
+SOURCES = {
+    ("encode", "--params"): (["--params", "params.json"], ""),
+    ("encode", "--rule"): (["--rule", "cyan", "--s", "3", "--m", "2", "--indices", "2,1,3,2"],
+                           "--s --m --indices --ell --sign --sign-b --z --pi --k --seed-pair"),
+    ("encode", "--m and --H"): (["--m", "2", "--H", "4"], "--m --H --pi --e --e-prime --k "
+                                "--k-prime --k-dprime --d --seed-pair"),
+    ("simulate", "--codebook"): (["--codebook", "codebook.json", "--ebn0", "inf", "--trials", "8"],
+                                 ""),
+    ("simulate", "--rule"): (["--rule", "green", "--s", "1", "--m", "2", "--ebn0", "inf",
+                              "--trials", "8"], "--s --m"),
+}
+
+
+# --rule beside the bare knobs makes a --rule command
+@pytest.mark.parametrize("command, source, flag", [
+    (command, source, flag) for command, source in SOURCES for flag in KNOB_FLAGS[command]
+    if flag != source and (source, flag) != ("--m and --H", "--rule")
+])
+def test_each_source_reads_only_its_own_flags(tmp_path, monkeypatch, capsys, command, source,
+                                              flag):
+    # a knob flag that the source does not read is refused, not dropped
+    monkeypatch.chdir(tmp_path)
+    write_params(tmp_path, {"m": 2, "H": 4})
+    write_params(tmp_path, {"a": complex_lists([1, 1]), "b": complex_lists([1, -1])}, "seed.json")
+    write_params(tmp_path, {"sequences": [complex_lists([1, 1]), complex_lists([1, -1])]},
+                 "codebook.json")
+    argv, reads = SOURCES[command, source]
+    code, out, err = run_cli(capsys, command, *argv, flag, KNOB_FLAGS[command][flag])
+    if flag in reads.split():
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=float)
+    else:
+        assert (code, out, err) == (2, "", f"error: {flag} is not read with {source}\n")
+
+
+def test_knob_flags_are_read_as_a_parameter_document(tmp_path, capsys):
+    seed = {"a": complex_lists([1, 1]), "b": complex_lists([1, -1])}
+    doc = {"m": 2, "H": 4, "pi": [2, 1], "e": [0.5, 0], "e_prime": 0.25, "k": [1, 2],
+           "k_prime": 1, "k_dprime": 2, "d": [1, 0], "seed": seed}
+    flags = run_cli(capsys, "encode", "--m=2", "--H=4", "--pi=2,1", "--e=0.5,0", "--e-prime=0.25",
+                    "--k=1,2", "--k-prime=1", "--k-dprime=2", "--d=1,0",
+                    f"--seed-pair={write_params(tmp_path, seed, 'seed.json')}")
+    assert flags[0] == 0
+    assert flags == run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    # params_from_dict is the one place cli builds EncoderParams
+    calls = [node for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EncoderParams"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rule", qam.RULES)
@@ -560,11 +622,20 @@ def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    code, _, err = run_cli(capsys, "verify", str(broken))
-    assert code == 2
-    assert "cannot read" in err
+    record = {"values": {"re": [1], "im": [0]}}
+    for argv, text, message in [
+        (["verify"], "{not json", "cannot read"),
+        (["verify"], "[]", "expected a sequence record or a list of records"),
+        (["verify"], '[{"id": "c"}]', "record missing 'values'"),
+        (["verify"], json.dumps({"values": {"re": [], "im": []}}), "sequence must not be empty"),
+        (["papr", "--index", "1"], json.dumps(record), "--index 1 out of range for 1 records"),
+    ]:
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(broken))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def test_verify_rejects_non_finite_values(tmp_path, capsys):
@@ -851,7 +922,8 @@ def test_written_papr_matches_the_direct_evaluation(tmp_path, capsys, n, pad):
         assert json.loads(out)["papr_db"] == pytest.approx(direct_papr_db(values, 7), rel=1e-12)
 
 
-@pytest.mark.parametrize("doc", [[1, 2], "str"])
+# a file holding null is refused, not read as the default seed
+@pytest.mark.parametrize("doc", [[1, 2], "str", None])
 @pytest.mark.parametrize("path", [
     ["--m", "2", "--H", "4"], ["--rule", "green", "--s", "1", "--m", "2", "--indices", "1,1"],
 ])
@@ -1057,6 +1129,15 @@ def test_missing_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "simulate", "--ebn0", "0")
     assert code == 2
+    for argv, message in [
+        (["encode", "--m", "2"], "need --params, --rule, or both --m and --H"),
+        (["encode", "--rule", "green", "--m", "2", "--indices", "1,1"], "--rule needs --m and --s"),
+        (["simulate", "--rule", "green", "--s", "1", "--ebn0", "0"], "--rule needs --m and --s"),
+        # a zero is given, not missing: the encoder refuses it
+        (["encode", "--m", "0", "--H", "4"], "m must be in 1..16"),
+        (["encode", "--m", "2", "--H", "0"], "H must be a positive even integer, got 0"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["encode", "simulate", "papr"])

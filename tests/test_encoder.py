@@ -26,7 +26,7 @@ from csforge import (
     run_recursion,
     shifts_avoid_overlap,
 )
-from csforge.encoder import MAX_SEQUENCE_LENGTH
+from csforge.encoder import MAX_ENCODE_VARS, MAX_SEQUENCE_LENGTH
 
 E1 = (2.0 / math.pi) * math.log(3.0)
 
@@ -210,6 +210,19 @@ def test_params_validation():
         EncoderParams(m=2, H=4, d=(-1, 0))
     with pytest.raises(ValueError):
         EncoderParams(m=2, H=4, e=(0.0,))
+    for m in (0, MAX_ENCODE_VARS + 1):
+        with pytest.raises(ValueError, match=f"m must be in 1..{MAX_ENCODE_VARS}"):
+            EncoderParams(m=m, H=4)
+
+
+def test_seed_pairs_and_their_sequences_are_immutable():
+    seed = known_seed(2)
+    with pytest.raises(AttributeError, match="SeedPair is immutable"):
+        seed.a = seed.b
+    with pytest.raises(AttributeError, match="ComplexSequence is immutable"):
+        seed.a.values = seed.b.values
+    with pytest.raises(ValueError, match="read-only"):
+        seed.a.values[0] = 0
 
 
 def test_phase_normalization():

@@ -46,6 +46,8 @@ def test_geometry_diagonal_point():
     assert g.theta == pytest.approx(math.pi / 4)
     assert g.phi == pytest.approx(0.0)
     assert g.mu == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="lattice indices must be >= 1"):
+        lattice_geometry(0, 1)
 
 
 def test_geometry_reference_values():
@@ -83,6 +85,8 @@ def test_is_qam_point():
     assert not is_qam_point(1.01 + 1j, 2)
     assert is_qam_point(1 + 1e-8 + 1j, 2)
     assert not is_qam_point(0.5 + 0.5j, 4)
+    with pytest.raises(ValueError, match="s must be a positive integer"):
+        is_qam_point(1 + 1j, 0)
 
 
 def test_lattice_points_all_pass():

@@ -1,8 +1,13 @@
-"""The README's Python examples run as written, and it names every guard's limit."""
+"""The README's Python examples and command lines run as written, and it names
+every guard's limit."""
 
 import ast
+import json
 import re
+import shlex
 from pathlib import Path
+
+from csforge import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -33,3 +38,15 @@ def test_readme_names_every_guard_limit():
     assert len(limits) >= 7
     missing = sorted(name for name in limits if not re.search(rf"`(\w+\.)*{name}`", text))
     assert not missing
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # the csforge lines of the command-line section, in order, from a
+    # directory that holds the params.json they read
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = [shlex.split(line, comments=True) for line in block.group(1).splitlines() if line]
+    assert lines and all(argv[0] == "csforge" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps({"m": 3, "H": 4}))
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)

@@ -72,6 +72,8 @@ def test_rejects_nan_and_minus_inf_ebn0(point):
 def test_codebook_validation():
     with pytest.raises(ValueError):
         min_distance_sim([(1, 1)], [0.0], trials=10, rng_seed=0)
+    with pytest.raises(ValueError, match="codeword lengths differ"):
+        pairwise_error_rate([1, 1], [1], 0.0)
     big = np.ones((MAX_CODEBOOK + 1, 1), dtype=complex)
     with pytest.raises(GuardError):
         min_distance_sim(big, [0.0], trials=1, rng_seed=0)
