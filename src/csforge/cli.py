@@ -2,9 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input validation error,
 3 resource guard exceeded.  Every output is one compact line of JSON (pipe it
-through ``python -m json.tool`` to read it).  Documents carry ``schema: 1``
-and floats serialize via shortest round-trip representation, so records
-re-read from disk are bit-identical to what was written.
+through ``python -m json.tool`` to read it), in the bytes of one compact
+``json.dumps`` of the document with its arrays as lists.  Documents carry
+``schema: 1`` and floats serialize via shortest round-trip representation,
+so records re-read from disk are bit-identical to what was written.
+
+The arrays of a document are written by orjson, in C, with json's own
+text spliced in where the two spell a float differently (``_array_text``).
+The rest of a document stays on json, which writes integers beyond 64 bits
+and ``Infinity``; files are read with ``json.load``, which keeps such
+integers exact.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import re
 import sys
 
 import numpy as np
+import orjson
 
 from . import qam
 from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
@@ -94,11 +102,15 @@ def _seed_pair(doc) -> SeedPair:
 
 
 def params_from_dict(doc: dict) -> EncoderParams:
-    """Encoder params from a parameter document; a missing or null knob takes its default."""
+    """Encoder params from a parameter document; a missing or null knob takes its
+    default, and a key that is no field of ``EncoderParams`` is refused."""
     try:
         knobs = {name: doc[name] for name in _PARAM_FIELDS if doc.get(name) is not None}
     except AttributeError as exc:
         raise ValueError(f"params must be a JSON object: {exc}") from exc
+    for key in doc:
+        if key not in _PARAM_FIELDS:
+            raise ValueError(f"params have no field {key!r}; they take {', '.join(_PARAM_FIELDS)}")
     if "m" not in knobs or "H" not in knobs:
         raise ValueError("params need integer m and H")
     if "seed" in knobs:
@@ -117,7 +129,7 @@ def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int, gcp_resi
         "id": seq_id,
         "length": len(seq),
         "values": _complex_to_json(seq.values),
-        "support": seq.support.tolist(),
+        "support": seq.support,
         "clusters": [{"start": a, "length": b - a} for a, b in seq.clusters()],
         "papr_db": papr_db,
         "gcp_residual": gcp_residual,
@@ -140,8 +152,8 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
     Items are dumped and written one at a time, in the bytes of one ``dumps``
     of the list, so items built on demand are never all held at once.  The
     first is dumped before ``out_path`` is opened: if that fails, no file
-    is written and nothing is printed.  A float64 array in a dict is written
-    as the list it holds (``_floats_text``).
+    is written and nothing is printed.  An array in a dict is written as the
+    list it holds (``_array_text``).
     """
     # compact separators keep json.dumps on its C encoder; indent, or
     # json.dump to a file, runs the pure-Python one
@@ -166,30 +178,36 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
 
 
 def _json_text(value, dumps) -> str:
-    """``dumps(value)``, where ``value`` may hold float64 arrays in its dicts (string keys)."""
+    """``dumps(value)``, where ``value`` may hold float64 or int64 arrays in its dicts (string keys)."""
     if isinstance(value, np.ndarray):
-        return _floats_text(value, dumps)
+        return _array_text(value, dumps)
     if isinstance(value, dict) and any(isinstance(v, (dict, np.ndarray)) for v in value.values()):
         return "{" + ",".join(f"{dumps(key)}:{_json_text(item, dumps)}"
                               for key, item in value.items()) + "}"
     return dumps(value)
 
 
-def _floats_text(values: np.ndarray, dumps) -> str:
-    """``dumps(values.tolist())`` for a float64 array, each distinct value rendered once.
+def _array_text(values: np.ndarray, dumps) -> str:
+    """``dumps(values.tolist())`` for a float64 or int64 array, written by orjson in C.
 
-    Values are told apart by their bits, so -0.0 keeps its own text; the
-    distinct ones are dumped as one list, which spells each as json does and
-    meets ``allow_nan`` as the whole list would, and their texts are gathered
-    in element order.  Arrays with more than half of their values distinct
-    are dumped as a list: rendering each distinct value once no longer pays
-    for the sort and the gather there.
+    orjson spells integers, and floats in their shortest round-trip form, as
+    json does, except at 1e-9 <= |x| < 1e-4 (``1e-05`` in json, ``0.00001``
+    or ``1e-9`` in orjson), at |x| >= 1e16 (``1e+16`` against ``1e16``) and
+    at non-finite values (``null`` in orjson).  Those elements are dumped as
+    one list, which spells each as json does and meets ``allow_nan`` as the
+    whole list would, and their texts replace orjson's.
     """
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(values):
-        return dumps(values.tolist())
-    texts = np.array(dumps(bits.view(np.float64).tolist())[1:-1].split(","), dtype=object)
-    return "[" + ",".join(texts[where].tolist()) + "]"
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if values.dtype.kind != "f":
+        return text
+    magnitude = np.abs(values)
+    odd = np.flatnonzero(~((magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))))
+    if not len(odd):
+        return text
+    parts = text[1:-1].split(",")
+    for index, part in zip(odd.tolist(), dumps(values[odd].tolist())[1:-1].split(",")):
+        parts[index] = part
+    return "[" + ",".join(parts) + "]"
 
 
 @contextlib.contextmanager

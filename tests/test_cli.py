@@ -212,6 +212,26 @@ def test_malformed_params_file_exits_2(tmp_path, capsys, change):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["k_prim", "schema", "M", ""])
+def test_params_file_refuses_a_key_it_does_not_read(tmp_path, capsys, key):
+    # a misspelt knob would otherwise read as its default
+    doc = {**multilevel_doc(), key: 3}
+    code, out, err = run_cli(capsys, "encode", "--params", write_params(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (f"error: params have no field {key!r}; "
+                   "they take m, H, pi, e, e_prime, k, k_prime, k_dprime, d, seed\n")
+
+
+@pytest.mark.parametrize("argv", [["--m", "5", "--H", "4", "--d", "4,8,2,0,1"],
+                                  ["--rule", "cyan", "--s", "4", "--indices", "2,1,4,2", "--m", "3"]])
+def test_a_records_params_encode_its_pair(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, "encode", *argv)
+    assert code == 0
+    params = json.loads(out)[0]["params"]
+    assert set(params) == set(cli._PARAM_FIELDS)
+    assert run_cli(capsys, "encode", "--params", write_params(tmp_path, params)) == (0, out, "")
+
+
 @pytest.mark.parametrize("doc", [
     {**multilevel_doc(), "pi": "213"},
     {**multilevel_doc(), "pi": ["2", "1", "3"]},
@@ -442,8 +462,8 @@ def test_round_trip_bytes_are_one_dumps_of_the_lists(tmp_path, capsys, pair):
 # floats json spells in every form: zeros of both signs, subnormals,
 # exponents, the largest finite values, and any other float64
 _SPELLINGS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, 1e+16, 1e22,
-                     sys.float_info.max, -sys.float_info.max, 1.0, -3.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-9, 1e-05, 9.99e-5, 1e-4,
+                     1e+16, -1e16, 1e22, sys.float_info.max, -sys.float_info.max, 1.0, -3.0]),
     st.floats(width=64),
 )
 
@@ -457,17 +477,74 @@ _SPELLINGS = st.one_of(
 @example(pool=[math.nan, -math.inf, 2.5], picks=[0, 1, 2, 1, 1, 2, 2], allow_nan=True)
 @example(pool=[math.inf, 2.5], picks=[0, 1, 1, 1], allow_nan=False)
 def test_float_arrays_are_written_as_json_writes_their_list(pool, picks, allow_nan):
-    # repeats come from drawing entries out of a small pool: the distinct-value path
+    # entries are drawn out of a small pool, so an array repeats values as records do
     values = np.array([pool[i % len(pool)] for i in picks], dtype=float)
     dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
     try:
         expected = dumps(values.tolist())
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            cli._floats_text(values, dumps)
+            cli._array_text(values, dumps)
         assert str(raised.value) == str(exc)
     else:
-        assert cli._floats_text(values, dumps) == expected
+        assert cli._array_text(values, dumps) == expected
+
+
+def _boundary_neighbours(steps=4):
+    """Each float within ``steps`` of +-1e-9, +-1e-4 and +-1e16, where the two writers'
+    spellings part."""
+    values = []
+    for edge in (1e-9, 1e-4, 1e16):
+        for sign in (1.0, -1.0):
+            below = above = sign * edge
+            values.append(below)
+            for _ in range(steps):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, sign * np.inf)
+                values += [below, above]
+    return np.array(values)
+
+
+def _encoder_arrays():
+    """The re/im arrays and supports of seeded pairs at H = 2, 4 and 8 and m <= 12."""
+    rng = np.random.default_rng(28)
+    for H in (2, 4, 8):
+        for m in range(1, 13):
+            params = EncoderParams(m=m, H=H, pi=tuple(rng.permutation(m) + 1),
+                                   e=tuple(rng.uniform(-1.0, 1.0, m)),
+                                   k=tuple(rng.uniform(0.0, H, m)),
+                                   d=tuple(rng.integers(0, 3, m)) if m % 3 == 0 else None)
+            result = encode_pair(params)
+            for seq in (result.c, result.d):
+                yield from (seq.values.real, seq.values.imag, seq.support)
+
+
+@pytest.mark.parametrize("case", ["bit patterns", "boundaries", "encoder", "integers"])
+def test_array_text_is_json_spelling_on_an_oracle(case):
+    # the writer's text, checked against json's on seeded arrays: an orjson
+    # release that moves a spelling, or a boundary of the spliced elements, fails here
+    rng = np.random.default_rng(1)
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    arrays = {
+        # every exponent, both signs, subnormals, infinities and NaNs
+        "bit patterns": lambda: [rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)],
+        "boundaries": lambda: [_boundary_neighbours()],
+        "encoder": lambda: list(_encoder_arrays()),
+        "integers": lambda: [rng.integers(low, high, 1000, dtype=np.int64, endpoint=True),
+                             np.array([low, -1, 0, high])],
+    }[case]()
+    for values in arrays:
+        for allow_nan in (True, False):
+            dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
+            if allow_nan or np.isfinite(values).all():
+                text, expected = cli._array_text(values, dumps), dumps(values.tolist())
+                if text != expected:  # the first element spelled apart, not a diff of megabytes
+                    pairs = zip(text[1:-1].split(","), expected[1:-1].split(","))
+                    pytest.fail(next((f"{values[i]!r} is written {ours}, json writes {theirs}"
+                                      for i, (ours, theirs) in enumerate(pairs) if ours != theirs),
+                                     "the element counts differ"))
+            else:
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    cli._array_text(values, dumps)
 
 
 @pytest.mark.parametrize("seed, message", [
