@@ -4,7 +4,11 @@ import ast
 import pathlib
 import re
 import sys
-import tomllib
+
+import pytest
+
+# pyproject.toml admits Python 3.10, whose standard library has no TOML reader
+tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
