@@ -10,8 +10,10 @@ so records re-read from disk are bit-identical to what was written.
 The arrays of a document are written by orjson, in C, with json's own
 text spliced in where the two spell a float differently (``_array_text``).
 The rest of a document stays on json, which writes integers beyond 64 bits
-and ``Infinity``; files are read with ``json.load``, which keeps such
-integers exact.
+and ``Infinity``.  Files are read with ``json.load``, which keeps such
+integers exact, and each ``re``/``im`` object becomes its complex array as
+soon as json has parsed it (``_load_json``); in a record file each record
+keeps only the keys read from it.  So no file is held as Python lists.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _SIM_MAX_VARS = 4
 # Most decimal digits of an integer in a report: Python writes no integer of
 # more than 4,300 digits as text
 MAX_REPORT_DIGITS = 4000
+_REPORT_LIMIT = 10**MAX_REPORT_DIGITS - 1
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -63,7 +66,22 @@ def _real_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+class _ParsedArray(dict):
+    """A parsed ``re``/``im`` object held as its complex ``array``.  Its keys
+    read as float views of the array, so code that reads it as the object it
+    was (a record's id, a bare codebook word, a misplaced document) meets the
+    same keys."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(re=array.real, im=array.imag)
+        self.array = array
+
+
 def _complex_from_json(obj) -> np.ndarray:
+    if isinstance(obj, _ParsedArray):
+        return obj.array  # checked below, as json parsed it
     try:
         re = _real_array(obj["re"])
         im = _real_array(obj["im"])
@@ -138,10 +156,30 @@ def sequence_record(seq_id: str, seq: ComplexSequence, oversample: int, gcp_resi
     }
 
 
-def _load_json(path: str):
+# The keys that verify, papr and simulate --codebook read from a record file
+_RECORD_KEYS = ("id", "values", "sequences", "re", "im")
+
+
+def _load_json(path: str, records: bool = False):
+    """The document at ``path``, with each object of exactly ``re`` and ``im``
+    held as its complex array from the moment json parses it.  One that
+    ``_complex_from_json`` refuses stays as parsed, to be refused where it is
+    read.  In a record file (``records``) an object with ``values`` keeps only
+    the ``_RECORD_KEYS``, so no record's other keys outlive its parse."""
+
+    def hook(obj: dict):
+        if len(obj) == 2 and "re" in obj and "im" in obj:
+            try:
+                return _ParsedArray(_complex_from_json(obj))
+            except ValueError:
+                return obj
+        if records and "values" in obj:
+            return {key: obj[key] for key in _RECORD_KEYS if key in obj}
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=hook)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
@@ -155,9 +193,12 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
     is written and nothing is printed.  An array in a dict is written as the
     list it holds (``_array_text``).
     """
-    # compact separators keep json.dumps on its C encoder; indent, or
-    # json.dump to a file, runs the pure-Python one
-    dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=allow_nan)
+    # compact separators keep json on its C encoder; indent, or json.dump to
+    # a file, runs the pure-Python one.  One encoder serves the whole document;
+    # an array that _json_text does not reach, inside a list (a record id
+    # parsed as re/im arrays), is written as its list
+    dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=allow_nan,
+                             default=np.ndarray.tolist).encode
     is_list = not isinstance(doc, dict)
     texts = (_json_text(item, dumps) for item in (doc if is_list else (doc,)))
     first = next(texts, None)
@@ -328,7 +369,7 @@ def cmd_encode(args) -> int:
 
 
 def _records_from_file(path: str) -> list[dict]:
-    doc = _load_json(path)
+    doc = _load_json(path, records=True)
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list) or not doc:
@@ -344,7 +385,7 @@ def cmd_verify(args) -> int:
     records = _records_from_file(args.file)
     ids = [rec.get("id") for rec in records]
     seqs = [ComplexSequence(_complex_from_json(rec["values"])) for rec in records]
-    del records  # the parsed lists hold several times the arrays' memory
+    del records  # the parsed arrays, which seqs hold as copies
     report: dict = {"schema": 1, "records": []}
     for seq_id, seq in zip(ids, seqs):
         papr_db, trace = papr_oversampled_db(seq, args.oversample)
@@ -391,8 +432,7 @@ def cmd_enumerate(args) -> int:
         "length": args.N * 2**args.m,
     }
     for name in ("count", "length"):
-        guard(report[name], 10**MAX_REPORT_DIGITS - 1,
-              f"report {name} ({MAX_REPORT_DIGITS} digits at most)")
+        guard(report[name], _REPORT_LIMIT, f"report {name} ({MAX_REPORT_DIGITS} digits at most)")
     if args.dedup:
         if args.rule not in qam.RULES:
             raise ValueError("--dedup applies to a single rule")
@@ -437,7 +477,7 @@ def cmd_papr(args) -> int:
 def _codebook_from_args(args) -> np.ndarray:
     if args.codebook:
         _refuse_unread(args, "--codebook")
-        doc = _load_json(args.codebook)
+        doc = _load_json(args.codebook, records=True)
         try:
             if isinstance(doc, dict):
                 entries = doc["sequences"]

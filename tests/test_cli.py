@@ -6,6 +6,7 @@ import math
 import pathlib
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,26 @@ def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
         assert np.array_equal(record["values"]["im"], seq.values.imag)
 
 
+def test_reading_a_record_file_holds_its_arrays_only(tmp_path, capsys):
+    # json once held every re/im list and every other key of the file: 6.3
+    # times the arrays' bytes after the read, and a peak of 6.3 times above
+    # the file's text
+    m = 14
+    pair = tmp_path / "pair.json"
+    assert run_cli(capsys, "encode", "--m", str(m), "--H", "8", "--out", str(pair))[0] == 0
+    arrays = 2 * 16 * 2**m  # two complex128 records
+    tracemalloc.start()
+    try:
+        records = cli._load_json(str(pair), records=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * arrays, f"{held / arrays:.2f} times the arrays held after the read"
+    peak_above_text = peak - pair.stat().st_size
+    assert peak_above_text <= 5 * arrays, f"peak {peak_above_text / arrays:.2f} times the arrays"
+    assert [sorted(rec) for rec in records] == [["id", "values"]] * 2
+
+
 @pytest.mark.parametrize("command", ["encode", "verify", "enumerate", "simulate"])
 def test_outputs_are_one_line_of_json(tmp_path, capsys, command):
     pair = tmp_path / "pair.json"
@@ -700,19 +721,39 @@ def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
     record = {"values": {"re": [1], "im": [0]}}
-    for argv, text, message in [
-        (["verify"], "{not json", "cannot read"),
-        (["verify"], "[]", "expected a sequence record or a list of records"),
-        (["verify"], '[{"id": "c"}]', "record missing 'values'"),
-        (["verify"], json.dumps({"values": {"re": [], "im": []}}), "sequence must not be empty"),
-        (["papr", "--index", "1"], json.dumps(record), "--index 1 out of range for 1 records"),
+    c, d = ({"id": "c", "values": {"re": [1, 1], "im": [0, 0]}},
+            {"id": "d", "values": {"re": [1, -1], "im": [0, 0]}})
+    bad = {"re": [1, "x"], "im": [0, 0]}
+    for argv, text, code, message in [
+        (["verify"], "{not json", 2, "cannot read"),
+        (["verify"], "[]", 2, "expected a sequence record or a list of records"),
+        (["verify"], '[{"id": "c"}]', 2, "record missing 'values'"),
+        (["verify"], json.dumps({"values": {"re": [], "im": []}}), 2, "sequence must not be empty"),
+        (["papr", "--index", "1"], json.dumps(record), 2, "--index 1 out of range for 1 records"),
+        # arrays are read as json parses them: an array refused there is
+        # refused again where it is read, after the checks before it
+        (["verify"], json.dumps([{"values": bad}, d]), 2,
+         "bad complex array: re/im arrays take numbers only"),
+        (["papr", "--index", "1"], json.dumps([c, {"values": bad}]), 2, "bad complex array"),
+        (["verify"], json.dumps([{"values": bad}, {"id": "d"}]), 2, "record missing 'values'"),
+        (["verify"], json.dumps([{"values": bad}, d])[:-2], 2, "cannot read"),
+        (["verify"], json.dumps(c["values"]), 2, "record missing 'values'"),
+        # keys outside the record's id and values are not read
+        (["verify"], json.dumps([{**c, "values": {**c["values"], "extra": 1}}, d]), 0,
+         '"gcp_ok":true'),
+        (["verify"], json.dumps([{**c, "params": {"seed": {"a": bad, "b": bad}}}, d]), 0,
+         '"gcp_ok":true'),
+        (["verify"], json.dumps([{**c, "id": 2**64 + 1}, d]), 0, f'"id":{2**64 + 1},'),
     ]:
         broken = tmp_path / "broken.json"
         broken.write_text(text)
-        code, out, err = run_cli(capsys, *argv, str(broken))
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        got, out, err = run_cli(capsys, *argv, str(broken))
+        assert got == code, text
+        if code:
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        else:
+            assert err == "" and message in out
 
 
 def test_verify_rejects_non_finite_values(tmp_path, capsys):
@@ -741,8 +782,10 @@ def test_records_take_only_json_numbers(tmp_path, capsys, re):
     path.write_text(json.dumps(records))
     codebook = tmp_path / "codebook.json"
     codebook.write_text(json.dumps({"sequences": [r["values"] for r in records]}))
-    for argv in (["verify", str(path)], ["papr", str(path)],
-                 ["simulate", "--codebook", str(codebook), "--ebn0", "inf", "--trials", "4"]):
+    simulate = ["simulate", "--ebn0", "inf", "--trials", "4", "--codebook"]
+    # both codebook forms: a sequences list and a record list
+    for argv in (["verify", str(path)], ["papr", str(path)], simulate + [str(codebook)],
+                 simulate + [str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -1030,10 +1073,15 @@ def test_papr_trace_csv_keeps_its_time_column(tmp_path, capsys, oversample):
 
 
 def test_simulate_noiseless_and_deterministic(tmp_path, capsys):
+    words = [{"re": [1, 1], "im": [0, 0]}, {"re": [1, -1], "im": [0, 0]}]
     cb_file = tmp_path / "codebook.json"
-    cb_file.write_text(
-        json.dumps({"sequences": [{"re": [1, 1], "im": [0, 0]}, {"re": [1, -1], "im": [0, 0]}]})
-    )
+    cb_file.write_text(json.dumps({"sequences": words}))
+    # the record-list form, with the keys a record carries, and bare words
+    for doc in ([{"id": "c", "values": words[0], "support": [0, 1]}, {"values": words[1]}], words):
+        other = tmp_path / "records.json"
+        other.write_text(json.dumps(doc))
+        argv = ("simulate", "--ebn0", "0,5", "--trials", "200", "--codebook")
+        assert run_cli(capsys, *argv, str(other)) == run_cli(capsys, *argv, str(cb_file))
     code, out1, _ = run_cli(
         capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf",
         "--trials", "1000", "--rng-seed", "11",
@@ -1182,11 +1230,22 @@ def test_simulate_rejects_codebook_words_of_unequal_lengths(tmp_path, capsys):
 
 def test_simulate_rejects_malformed_codebook(tmp_path, capsys):
     cb_file = tmp_path / "codebook.json"
-    cb_file.write_text(json.dumps([1, 2]))
-    code, out, err = run_cli(capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
+    word, bad = {"re": [1, 1], "im": [0, 0]}, {"re": [1, "x"], "im": [0, 0]}
+    needs = "error: codebook file needs 'sequences' or a record list: "
+    for doc, message in [
+        ([1, 2], needs + "AttributeError(\"'int' object has no attribute 'get'\")\n"),
+        ({"words": [word]}, needs + "KeyError('sequences')\n"),
+        ({"sequences": 3}, needs + "TypeError(\"'int' object is not iterable\")\n"),
+        ({"sequences": [word, bad]}, "error: bad complex array: re/im arrays take numbers only\n"),
+        ([{"values": word}, {"values": bad}],
+         "error: bad complex array: re/im arrays take numbers only\n"),
+        ([{"values": word}, {"id": "d"}], "error: bad complex array: 're'\n"),
+    ]:
+        cb_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--codebook", str(cb_file), "--ebn0", "inf")
+        assert code == 2
+        assert out == ""
+        assert err == message
 
 
 def test_simulate_codebook_file_guard(tmp_path, capsys):
