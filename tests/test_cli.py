@@ -388,9 +388,8 @@ def test_encode_verify_round_trip_at_max_vars(tmp_path, capsys):
 
 
 def test_reading_a_record_file_holds_its_arrays_only(tmp_path, capsys):
-    # json once held every re/im list and every other key of the file: 6.3
-    # times the arrays' bytes after the read, and a peak of 6.3 times above
-    # the file's text
+    # a read that keeps the file's lists and other keys holds 6.3 times the
+    # arrays' bytes afterwards, and peaks 6.3 times them above the file's text
     m = 14
     pair = tmp_path / "pair.json"
     assert run_cli(capsys, "encode", "--m", str(m), "--H", "8", "--out", str(pair))[0] == 0
