@@ -31,7 +31,7 @@ import numpy as np
 import orjson
 
 from . import qam
-from .analysis import is_gcp, papr_bound_db, papr_oversampled_db
+from .analysis import GCP_TOL, is_gcp, papr_bound_db, papr_oversampled_db
 from .encoder import EncoderParams, SeedPair, encode_pair, known_seed
 from .sequences import ComplexSequence, GuardError, guard, integral, tolerance
 from .simulate import MAX_CODEBOOK, min_distance_sim
@@ -180,7 +180,7 @@ def _load_json(path: str, records: bool = False):
     try:
         with open(path) as fh:
             return json.load(fh, object_hook=hook)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # the last: nested too deep
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
@@ -190,8 +190,8 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
     Items are dumped and written one at a time, in the bytes of one ``dumps``
     of the list, so items built on demand are never all held at once.  The
     first is dumped before ``out_path`` is opened: if that fails, no file
-    is written and nothing is printed.  An array in a dict is written as the
-    list it holds (``_array_text``).
+    is written and nothing is printed (ValueError for one nested too deep).
+    An array in a dict is written as the list it holds (``_array_text``).
     """
     # compact separators keep json on its C encoder; indent, or json.dump to
     # a file, runs the pure-Python one.  One encoder serves the whole document;
@@ -201,7 +201,10 @@ def _emit(doc, out_path: str | None, allow_nan: bool = False) -> None:
                              default=np.ndarray.tolist).encode
     is_list = not isinstance(doc, dict)
     texts = (_json_text(item, dumps) for item in (doc if is_list else (doc,)))
-    first = next(texts, None)
+    try:
+        first = next(texts, None)
+    except RecursionError as exc:  # an id nested about as deep as the reader takes
+        raise ValueError(f"cannot write the output: {exc}") from exc
     with contextlib.ExitStack() as stack:
         fh = sys.stdout
         if out_path:
@@ -542,35 +545,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common_params(p):
-        p.add_argument("--params", help="JSON parameter file")
-        p.add_argument("--rule", choices=qam.RULES, help="QAM synthesis rule")
-        p.add_argument("--s", type=_integer, help="lattice size parameter (4s^2 points)")
-        p.add_argument("--indices", help="rule lattice indices, e.g. 2,1,4,2")
-        p.add_argument("--ell", type=_integer, help="rule step index (default m)")
-        p.add_argument("--sign", type=_integer, choices=(1, -1))
-        p.add_argument("--sign-b", dest="sign_b", type=_integer, choices=(1, -1))
-        p.add_argument("--z", type=_integer, help="quadrant phase offset")
-        p.add_argument("--m", type=_integer)
-        p.add_argument("--H", type=_integer)
-        p.add_argument("--pi", help="bit order, e.g. 2,1,3")
-        p.add_argument("--e", help="amplitude exponents")
-        p.add_argument("--e-prime", dest="e_prime", type=float)
-        p.add_argument("--k", help="phase steps")
-        p.add_argument("--k-prime", dest="k_prime", type=float)
-        p.add_argument("--k-dprime", dest="k_dprime", type=float)
-        p.add_argument("--d", help="zero-padding amounts")
-        p.add_argument("--seed-pair", dest="seed_pair", help="JSON seed pair file")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-
     enc = sub.add_parser("encode", help="synthesize a pair from parameters")
-    add_common_params(enc)
+    enc.add_argument("--params", help="JSON parameter file")
+    enc.add_argument("--rule", choices=qam.RULES, help="QAM synthesis rule")
+    enc.add_argument("--s", type=_integer, help="lattice size parameter (4s^2 points)")
+    enc.add_argument("--indices", help="rule lattice indices, e.g. 2,1,4,2")
+    enc.add_argument("--ell", type=_integer, help="rule step index (default m)")
+    enc.add_argument("--sign", type=_integer, choices=(1, -1))
+    enc.add_argument("--sign-b", dest="sign_b", type=_integer, choices=(1, -1))
+    enc.add_argument("--z", type=_integer, help="quadrant phase offset")
+    enc.add_argument("--m", type=_integer)
+    enc.add_argument("--H", type=_integer)
+    enc.add_argument("--pi", help="bit order, e.g. 2,1,3")
+    enc.add_argument("--e", help="amplitude exponents")
+    enc.add_argument("--e-prime", dest="e_prime", type=float)
+    enc.add_argument("--k", help="phase steps")
+    enc.add_argument("--k-prime", dest="k_prime", type=float)
+    enc.add_argument("--k-dprime", dest="k_dprime", type=float)
+    enc.add_argument("--d", help="zero-padding amounts")
+    enc.add_argument("--seed-pair", dest="seed_pair", help="JSON seed pair file")
+    enc.add_argument("--out", help="write output to a file instead of stdout")
     enc.add_argument("--oversample", type=_integer, default=16)
     enc.set_defaults(func=cmd_encode)
 
     ver = sub.add_parser("verify", help="re-check a stored pair or sequence")
     ver.add_argument("file")
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--tol", type=float, default=GCP_TOL)
     ver.add_argument("--oversample", type=_integer, default=16)
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)

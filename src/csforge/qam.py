@@ -6,13 +6,13 @@ the innermost diagonal point maps to 1; multiplying an output by (1 + j)
 moves it onto the lattice, which is what ``on_lattice`` checks.
 
 Each rule fixes the amplitude knobs (and, for some, irrational phase steps)
-of the pair encoder so every nonzero output element lands on the lattice:
+of the pair encoder so every nonzero output element lands on the lattice.
+A rule reads one half (scale, phase) per lattice point, in one of two shapes:
 
-* green scales and rotates the whole quaternary family onto one radius;
-* yellow gives the two halves independent diagonal radii;
-* blue additionally rotates one half off the diagonal;
-* cyan rotates both halves off the diagonal;
-* orange keeps one radius but sends the halves to mirror angles.
+* one radius: green scales and rotates the whole quaternary family onto it;
+  orange also sends the halves to mirror angles;
+* two halves: yellow gives them independent diagonal radii, blue rotates one
+  half off the diagonal, cyan rotates both.
 
 Counting helpers return family sizes in units of G0 = (m!/2) 4^(m+1) for
 length-1 seeds and A0 = m! 4^(m+1) for longer seeds.  ``enumerate_rule``
@@ -180,15 +180,22 @@ def _admit(rule, s, m, indices, ell=None, z=0, **binary):
     return z % RULE_MODULUS if finite(z, "z").is_integer() else z
 
 
-def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
-    """One radius for all elements: scale by gamma, rotate onto the point."""
-    z = _admit("green", s, m, (u, v), z=z)
+def _half(u, v, sign) -> tuple[float, float]:
+    """The half (scale, phase) on the point (u, v), turned by ``sign``: the
+    one place a builder reads ``lattice_geometry``."""
     g = lattice_geometry(u, v)
-    const = z - _SCALE * g.phi
-    return EncoderParams(
-        m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=k,
-        k_prime=const, k_dprime=const, seed=seed,
-    )
+    return _SCALE * math.log(g.gamma), sign * _SCALE * g.phi
+
+
+def _one_radius(ell, m, pi, k, z, seed, half) -> EncoderParams:
+    """Scale and rotate every element by one half (scale, phase); with a step
+    ell, k[ell-1] turns back by twice the phase, to the mirror angle."""
+    scale, phase = half
+    if ell is not None:  # without one, k goes to EncoderParams, which checks m first
+        k = list(finite_steps(k, m, "k"))
+        k[ell - 1] -= 2 * phase
+    return EncoderParams(m, RULE_MODULUS, pi, e_prime=scale, k=k,
+                         k_prime=z + phase, k_dprime=z + phase, seed=seed)
 
 
 def _two_halves(ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
@@ -215,21 +222,16 @@ def _two_halves(ell, m, pi, k, z, seed, half_a, half_b) -> EncoderParams:
     )
 
 
-def _diagonal(u) -> tuple[float, float]:
-    """The half (scale, phase) on the diagonal point (u, u)."""
-    return _SCALE * math.log(lattice_geometry(u, u).gamma), 0.0
-
-
-def _rotated(u, v, sign) -> tuple[float, float]:
-    """The half (scale, phase) on the off-diagonal point (u, v), turned by ``sign``."""
-    g = lattice_geometry(u, v)
-    return _SCALE * math.log(g.gamma), sign * _SCALE * g.phi
+def green_params(s, u, v, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
+    """One radius for all elements: scale by gamma, rotate onto the point."""
+    z = _admit("green", s, m, (u, v), z=z)
+    return _one_radius(None, m, pi, k, z, seed, _half(u, v, -1))
 
 
 def yellow_params(s, u, v, ell, m, pi=None, k=None, z=0, seed=None) -> EncoderParams:
     """Two diagonal radii: the halves are scaled independently at step ell."""
     z = _admit("yellow", s, m, (u, v), ell, z)
-    return _two_halves(ell, m, pi, k, z, seed, _diagonal(u), _diagonal(v))
+    return _two_halves(ell, m, pi, k, z, seed, _half(u, u, 1), _half(v, v, 1))
 
 
 def blue_params(
@@ -237,7 +239,7 @@ def blue_params(
 ) -> EncoderParams:
     """One diagonal radius and one off-diagonal point: rotate a single half."""
     z = _admit("blue", s, m, (u, v, w), ell, z, sign_a=sign_a, rotate_b_half=rotate_b_half)
-    halves = _diagonal(u), _rotated(v, w, sign_a)
+    halves = _half(u, u, 1), _half(v, w, sign_a)
     return _two_halves(ell, m, pi, k, z, seed, *(halves if rotate_b_half else halves[::-1]))
 
 
@@ -246,7 +248,7 @@ def cyan_params(
 ) -> EncoderParams:
     """Two distinct off-diagonal points, one per half, each with its rotation."""
     z = _admit("cyan", s, m, (u, t, v, w), ell, z, sign_a=sign_a, sign_b=sign_b)
-    return _two_halves(ell, m, pi, k, z, seed, _rotated(u, t, sign_a), _rotated(v, w, sign_b))
+    return _two_halves(ell, m, pi, k, z, seed, _half(u, t, sign_a), _half(v, w, sign_b))
 
 
 def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) -> EncoderParams:
@@ -255,14 +257,7 @@ def orange_params(s, u, v, ell, m, pi=None, k=None, z=0, sign_a=1, seed=None) ->
     The step phase k[ell-1] is the quadrant offset of the mirror rotation.
     """
     z = _admit("orange", s, m, (u, v), ell, z, sign_a=sign_a)
-    g = lattice_geometry(u, v)
-    phases = list(finite_steps(k, m, "k"))
-    phases[ell - 1] -= sign_a * _SCALE * g.mu
-    const = z + sign_a * _SCALE * g.phi
-    return EncoderParams(
-        m, RULE_MODULUS, pi, e_prime=_SCALE * math.log(g.gamma), k=phases,
-        k_prime=const, k_dprime=const, seed=seed,
-    )
+    return _one_radius(ell, m, pi, k, z, seed, _half(u, v, sign_a))
 
 
 # -- the rule table ----------------------------------------------------------
@@ -491,8 +486,7 @@ def _walk(rule, s, m, seed, distinct):
     """
     entry = rule_entry(rule)
     ells = range(1, m + 1) if entry.has_ell else (None,)
-    groups = ((entry.build(**choice, **({"ell": ell} if ell else {}), s=s, m=m, pi=None,
-                           k=None, z=0, seed=seed), ell)
+    groups = ((entry.build(**choice, **({"ell": ell} if ell else {}), s=s, m=m, seed=seed), ell)
               for choice in entry.iter_choices(s) for ell in ells)
     cells = max(1, WALK_BLOCK_BYTES // _row_bytes(m, seed))  # (group, order) cells an encode
     n_orders = math.factorial(m)

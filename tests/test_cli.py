@@ -1,6 +1,7 @@
 import ast
 import builtins
 import functools
+import itertools
 import json
 import math
 import pathlib
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, currently_in_test_context, event, example, g
 from hypothesis import strategies as st
 
 from csforge import cli, qam
-from csforge.analysis import MAX_GRID_POINTS, is_gcp, papr_bound_db, papr_oversampled_db
+from csforge.analysis import GCP_TOL, MAX_GRID_POINTS, is_gcp, papr_bound_db, papr_oversampled_db
 from csforge.encoder import (
     MAX_ENCODE_VARS,
     MAX_SEQUENCE_LENGTH,
@@ -753,6 +754,52 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
             assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         else:
             assert err == "" and message in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "FILE"],
+    ["papr", "FILE"],
+    ["simulate", "--codebook", "FILE", "--ebn0", "inf"],
+    ["encode", "--params", "FILE"],
+    ["encode", "--m", "2", "--H", "4", "--seed-pair", "FILE"],
+    ["encode", "--rule", "green", "--s", "2", "--m", "2", "--indices", "1,1",
+     "--seed-pair", "FILE"],
+])
+def test_a_file_nested_too_deep_exits_2_with_one_line(tmp_path, capsys, argv):
+    # json.load raises RecursionError here; exit 1 is kept for a failed verification
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, *(str(deep) if arg == "FILE" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot read {deep}: ")
+
+
+def test_ids_as_deep_as_the_reader_takes_exit_0_or_2(tmp_path, capsys):
+    # the report nests a record's id one or two levels deeper than its file
+    # does, so an id at the edge of the reader's depth is refused on write
+    path = tmp_path / "id.json"
+    for depth in itertools.count(800):
+        nested = "[" * depth + "]" * depth
+        path.write_text(f'{{"id": {nested}, "values": {{"re": [1], "im": [0]}}}}')
+        code, out, err = run_cli(capsys, "verify", str(path))
+        if code == 0:
+            assert err == "" and f'"id":{nested},' in out
+            continue
+        assert code == 2 and out == "" and err.count("\n") == 1
+        if err.startswith("error: cannot read"):
+            break
+        assert err.startswith("error: cannot write the output: ")
+
+
+def test_encode_rule_refuses_an_ell_beyond_m(capsys):
+    code, out, err = run_cli(capsys, "encode", "--rule", "orange", "--s", "2", "--m", "2",
+                             "--indices", "2,1", "--ell", "3")
+    assert (code, out, err) == (2, "", "error: ell=3 out of range 1..2\n")
+
+
+def test_verify_tol_defaults_to_the_gcp_tolerance():
+    assert cli.build_parser().parse_args(["verify", "pair.json"]).tol == GCP_TOL
 
 
 def test_verify_rejects_non_finite_values(tmp_path, capsys):

@@ -217,6 +217,47 @@ def test_builders_refuse_m_before_building_step_lists(rule):
             qam.rule_entry(rule).build(s=3, ell=m, m=m, **choice)
 
 
+# sha256 of (e', k', k'', e, k) as float64 bytes, build by build, over
+# _builder_grid, and the number of builds: the builders' floats bit for bit
+_PINNED_BUILDS = (33_600, "777111c6d1bd76c26df45f380bf2066935c4e9f9d36539358575108b956f0c97")
+
+
+def _builder_grid():
+    """Every rule's params at every admissible choice (signs and rotation
+    included) and every ell, at s <= 4 and m <= 4, with z in 0..3 and a
+    non-integral z, and with no k or one fixed real k."""
+    fixed_k = (0.3, -1.7, 2.25, 7.9)
+    for rule in qam.RULES:
+        entry = qam.rule_entry(rule)
+        for s, m in itertools.product(range(1, 5), range(1, 5)):
+            for choice, ell, z, k in itertools.product(
+                    entry.choices(s), range(1, m + 1) if entry.has_ell else (None,),
+                    (0, 1, 2, 3, 2.5), (None, fixed_k[:m])):
+                yield entry.build(s=s, m=m, z=z, k=k, **({"ell": ell} if ell else {}), **choice)
+
+
+def test_builders_keep_their_floats_bit_for_bit():
+    digest, count = hashlib.sha256(), 0
+    for p in _builder_grid():
+        digest.update(np.array([p.e_prime, p.k_prime, p.k_dprime, *p.e, *p.k]).tobytes())
+        count += 1
+    assert (count, digest.hexdigest()) == _PINNED_BUILDS
+
+
+@pytest.mark.parametrize("rule", [rule for rule in qam.RULES if qam.rule_entry(rule).has_ell])
+def test_rule_params_refuses_ell_outside_1_to_m(rule):
+    choice = qam.rule_entry(rule).choices(3)[0]
+    for ell in (0, 4):
+        with pytest.raises(ValueError, match=rf"^ell={ell} out of range 1\.\.3$"):
+            rule_params(rule, 3, 3, ell=ell, **choice)
+
+
+def test_green_refuses_a_huge_m_before_building_anything():
+    # green has no step: its k goes to EncoderParams untouched, which refuses m
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.16$"):
+        qam.green_params(s=2, u=1, v=1, m=10**9)
+
+
 @pytest.mark.parametrize("rule", qam.RULES)
 def test_rule_outputs_stay_on_lattice_and_complementary(rule):
     rng = np.random.default_rng(qam.RULES.index(rule))
